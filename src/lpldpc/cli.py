@@ -29,7 +29,8 @@ def _load_graph(path):
 
 
 def _load_llr(path, n):
-    text = open(path, "r").read().replace(",", " ")
+    with open(path, "r") as fh:
+        text = fh.read().replace(",", " ")
     values = [float(tok) for tok in text.split()]
     if len(values) != n:
         raise ValueError(f"LLR file has {len(values)} values, graph has {n} variables")

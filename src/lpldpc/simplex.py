@@ -4,6 +4,13 @@ Solves min/max c.x subject to A x <= b, x >= 0. Rows with negative
 right-hand side get phase-1 artificials; the returned point is always a
 basic feasible solution, i.e. a vertex of the feasible region. Pivoting is
 fully deterministic.
+
+The tableau is dense, but a pivot updates it in place only at the rows where
+the pivot column is nonzero and the columns where the pivot row is nonzero:
+no other entry can change. Each updated entry gets the same arithmetic as a
+full rank-one update, so the pivot sequence, bases and solutions are those
+of the full update (a zero may keep its sign where the full update would
+flip it).
 """
 
 from __future__ import annotations
@@ -53,23 +60,26 @@ class LpSolution:
 
 
 def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    other = tab[:, col].copy()
-    other[row] = 0.0
-    tab -= np.outer(other, tab[row])
+    prow = tab[row]
+    prow /= prow[col]
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    cols = np.flatnonzero(prow)
+    # Flat indices of the rows x cols block; tab is C-contiguous, so the
+    # reshape is a view and the update lands in the tableau.
+    block = (rows * tab.shape[1])[:, None] + cols
+    tab.reshape(-1)[block] -= np.outer(tab[rows, col], prow[cols])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
 
 
 def _set_objective(tab, basis, cost):
-    rows = tab.shape[0] - 1
     tab[-1, :-1] = cost
     tab[-1, -1] = 0.0
-    for r in range(rows):
-        cb = cost[basis[r]]
-        if cb != 0.0:
-            tab[-1] -= cb * tab[r]
+    cb = cost[basis]
+    for r in np.flatnonzero(cb):
+        tab[-1] -= cb[r] * tab[r]
 
 
 def _pivot_loop(tab, basis, max_iter, tol, used):
@@ -102,17 +112,16 @@ def _pivot_loop(tab, basis, max_iter, tol, used):
 def _solve_min(c, a, b, max_iter, tol):
     m, n = a.shape
     flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
     art_rows = np.flatnonzero(flip)
     nart = art_rows.size
     ncols = n + m + nart
 
     tab = np.zeros((m + 1, ncols + 1))
     tab[:m, :n] = a
+    tab[art_rows, :n] = -a[art_rows]
     tab[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
     tab[art_rows, n + m + np.arange(nart)] = 1.0
-    tab[:m, -1] = b
+    tab[:m, -1] = np.where(flip, -b, b)
     basis = (n + np.arange(m)).astype(np.int64)
     basis[art_rows] = n + m + np.arange(nart)
 

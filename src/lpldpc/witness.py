@@ -378,32 +378,35 @@ def witness_search(g, lamp):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
     if not np.isfinite(lamp).all():
         raise ValueError("LLR vector must be finite")
-    edges = g.edges()
-    ne = len(edges)
-    eidx = {e: k for k, e in enumerate(edges)}
+    edge_var, edge_check = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    ne = edge_var.size
     sp, sm = 2 * ne, 2 * ne + 1
-    npairs = sum(len(r) * (len(r) - 1) // 2 for r in g.check_nbrs)
+    # Pair rows list each check's variable pairs in itertools.combinations
+    # order, checks ascending. A stable sort of the variable-major edges by
+    # check puts each check's edges in ascending variable order; the edge at
+    # sorted position p pairs with every later position of its check.
+    order = np.argsort(edge_check, kind="stable")
+    check_end = np.cumsum(np.bincount(edge_check, minlength=g.m))
+    idx = np.arange(ne)
+    later = check_end[edge_check[order]] - 1 - idx
+    first = np.repeat(idx, later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    k1, k2 = order[first], order[second]
+    npairs = first.size
     a = np.zeros((npairs + g.n + 1, 2 * ne + 2))
     b = np.zeros(npairs + g.n + 1)
-    r = 0
-    for j, nbrs in enumerate(g.check_nbrs):
-        for i1, i2 in itertools.combinations(sorted(nbrs), 2):
-            k1, k2 = eidx[(i1, j)], eidx[(i2, j)]
-            a[r, [k1, k2]] = -1.0
-            a[r, [ne + k1, ne + k2]] = 1.0
-            r += 1
-    for i in range(g.n):
-        for j in g.var_nbrs[i]:
-            k = eidx[(i, j)]
-            a[r, k] = 1.0
-            a[r, ne + k] = -1.0
-        a[r, sp] = 1.0
-        a[r, sm] = -1.0
-        b[r] = lamp[i]
-        r += 1
-    a[r, sp] = 1.0
-    a[r, sm] = -1.0
-    b[r] = lamp.max()
+    pair_rows = np.arange(npairs)
+    a[pair_rows, k1] = a[pair_rows, k2] = -1.0
+    a[pair_rows, ne + k1] = a[pair_rows, ne + k2] = 1.0
+    var_rows = npairs + np.arange(g.n)
+    a[npairs + edge_var, idx] = 1.0
+    a[npairs + edge_var, ne + idx] = -1.0
+    a[var_rows, sp] = 1.0
+    a[var_rows, sm] = -1.0
+    b[var_rows] = lamp
+    a[-1, sp] = 1.0
+    a[-1, sm] = -1.0
+    b[-1] = lamp.max()
     c = np.zeros(2 * ne + 2)
     c[sp] = 1.0
     c[sm] = -1.0

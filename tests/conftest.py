@@ -29,3 +29,21 @@ def awgn_llr(g, sigma, seed, trial, map_spec=None):
     y = transmit_awgn(bpsk(np.zeros(g.n, dtype=np.uint8)), params, seed, trial)
     lam = normalized_llr(y, params)
     return apply_map(map_spec, lam) if map_spec is not None else lam
+
+
+def recorded_solves(monkeypatch, run):
+    """Run ``run()`` and return ((c, a, b, sense), solution) per simplex solve."""
+    from lpldpc import simplex
+
+    calls = []
+    real = simplex.solve
+
+    def record(c, a, b, sense="min", **kwargs):
+        sol = real(c, a, b, sense=sense, **kwargs)
+        calls.append(((c, a, b, sense), sol))
+        return sol
+
+    monkeypatch.setattr(simplex, "solve", record)
+    run()
+    monkeypatch.setattr(simplex, "solve", real)
+    return calls

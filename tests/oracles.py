@@ -4,9 +4,13 @@ Nothing here may call the code paths it checks: distances come from
 Floyd-Warshall rather than BFS, tail probabilities from math.erfc rather
 than scipy, vertex enumeration from qhull (and raw basis enumeration at
 tiny sizes) rather than the simplex solver, and profile scaling from
-bisection rather than the closed form.
+bisection rather than the closed form. The dense pivot below is the
+full rank-one tableau update that the simplex's in-place pivot must match,
+and the witness LP is also built entry by entry to pin its vectorized
+assembly.
 """
 
+import contextlib
 import itertools
 import math
 
@@ -107,3 +111,72 @@ def var_regular_graph(n, d_v, m, seed):
         for j in rng.choice(m, size=d_v, replace=False):
             rows[j].append(i)
     return TannerGraph(n, [sorted(r) for r in rows])
+
+
+def dense_pivot(tab, basis, row, col):
+    """Bland-simplex pivot as a full rank-one update of the whole tableau."""
+    tab[row] /= tab[row, col]
+    other = tab[:, col].copy()
+    other[row] = 0.0
+    tab -= np.outer(other, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def dense_set_objective(tab, basis, cost):
+    """Objective row priced out by a scan over every basic row."""
+    rows = tab.shape[0] - 1
+    tab[-1, :-1] = cost
+    tab[-1, -1] = 0.0
+    for r in range(rows):
+        cb = cost[basis[r]]
+        if cb != 0.0:
+            tab[-1] -= cb * tab[r]
+
+
+@contextlib.contextmanager
+def dense_simplex():
+    """Run ``lpldpc.simplex`` with the dense pivot and objective setup."""
+    from lpldpc import simplex
+
+    saved = simplex._pivot, simplex._set_objective
+    simplex._pivot, simplex._set_objective = dense_pivot, dense_set_objective
+    try:
+        yield
+    finally:
+        simplex._pivot, simplex._set_objective = saved
+
+
+def witness_lp_by_loops(g, lamp):
+    """(c, A, b) of ``witness_search``'s LP, one constraint entry at a time."""
+    edges = g.edges()
+    ne = len(edges)
+    eidx = {e: k for k, e in enumerate(edges)}
+    sp, sm = 2 * ne, 2 * ne + 1
+    npairs = sum(len(r) * (len(r) - 1) // 2 for r in g.check_nbrs)
+    a = np.zeros((npairs + g.n + 1, 2 * ne + 2))
+    b = np.zeros(npairs + g.n + 1)
+    r = 0
+    for j, nbrs in enumerate(g.check_nbrs):
+        for i1, i2 in itertools.combinations(sorted(nbrs), 2):
+            k1, k2 = eidx[(i1, j)], eidx[(i2, j)]
+            a[r, [k1, k2]] = -1.0
+            a[r, [ne + k1, ne + k2]] = 1.0
+            r += 1
+    for i in range(g.n):
+        for j in g.var_nbrs[i]:
+            k = eidx[(i, j)]
+            a[r, k] = 1.0
+            a[r, ne + k] = -1.0
+        a[r, sp] = 1.0
+        a[r, sm] = -1.0
+        b[r] = lamp[i]
+        r += 1
+    a[r, sp] = 1.0
+    a[r, sm] = -1.0
+    b[r] = lamp.max()
+    c = np.zeros(2 * ne + 2)
+    c[sp] = 1.0
+    c[sm] = -1.0
+    return c, a, b

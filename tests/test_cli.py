@@ -1,5 +1,8 @@
 import csv
+import gc
 import json
+import sys
+import warnings
 
 import numpy as np
 
@@ -57,6 +60,22 @@ def test_decode_with_map_and_comma_file(tmp_path, capsys):
     path.write_text(",".join(["2.5"] * 8))
     assert main(["decode", "--graph", gp, "--llr", str(path),
                  "--map", "threshold:1.0"]) == 0
+    assert "status integral" in capsys.readouterr().out
+
+
+def test_decode_closes_llr_file(tmp_path, capsys, monkeypatch):
+    # An unclosed file warns when it is collected, inside a finalizer, so
+    # the warning-turned-error reaches sys.unraisablehook, not the caller.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    g = generate_regular(8, 3, 4, seed=2)
+    gp = write_graph(tmp_path, g)
+    lp = write_llr(tmp_path, np.ones(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["decode", "--graph", gp, "--llr", lp]) == 0
+        gc.collect()
+    assert [u.exc_type for u in unraisable] == []
     assert "status integral" in capsys.readouterr().out
 
 

@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpldpc import MapSpec, generate_regular, lp_decode, simplex, witness_search
 from lpldpc.simplex import (
+    MAX_ITER,
     InfeasibleError,
     IterationLimitError,
+    SimplexError,
     UnboundedError,
     solve,
 )
 
-from oracles import best_vertex_value
+from conftest import awgn_llr, recorded_solves
+from oracles import (
+    best_vertex_value,
+    dense_pivot,
+    dense_set_objective,
+    dense_simplex,
+    var_regular_graph,
+)
 
 
 def test_textbook_max():
@@ -137,3 +149,113 @@ def test_solution_is_basic_feasible():
     # a vertex of {Ax<=b, x>=0} in R^3 has at least 3 tight constraints
     tight = int((np.abs(a @ sol.x - b) < 1e-9).sum()) + int((np.abs(sol.x) < 1e-12).sum())
     assert tight >= 3
+
+
+def _outcome(c, a, b, sense, max_iter):
+    try:
+        return solve(c, a, b, sense=sense, max_iter=max_iter)
+    except SimplexError as exc:
+        return type(exc)
+
+
+def _assert_same_path(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert got.iterations == want.iterations
+    assert got.basis.tolist() == want.basis.tolist()
+    # The in-place pivot may leave -0.0 where the dense update leaves +0.0.
+    assert np.array_equal(got.x, want.x)
+    assert got.value == want.value
+
+
+def _random_lp(kind, m, n, seed, negative_rhs, boxed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        a = rng.normal(size=(m, n))
+        b = np.abs(rng.normal(size=m))
+        c = rng.normal(size=n)
+    elif kind == "integer":
+        a = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(0, 4, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+    else:  # sparse, many zero right-hand sides: degenerate vertices
+        a = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], size=(m, n))
+        b = rng.choice([0.0, 0.0, 1.0], size=m)
+        c = rng.choice([-1.0, 0.0, 1.0], size=n)
+    if negative_rhs:
+        b = np.where(rng.random(m) < 0.4, -b - rng.integers(0, 2, size=m), b)
+    if boxed:
+        a = np.vstack([a, np.eye(n)])
+        b = np.concatenate([b, np.ones(n)])
+    return c, a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "integer", "sparse"]),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    negative_rhs=st.booleans(),
+    boxed=st.booleans(),
+    sense=st.sampled_from(["min", "max"]),
+    max_iter=st.sampled_from([2, MAX_ITER]),
+)
+def test_pivot_matches_dense_reference_on_random_lps(
+        kind, m, n, seed, negative_rhs, boxed, sense, max_iter):
+    c, a, b = _random_lp(kind, m, n, seed, negative_rhs, boxed)
+    got = _outcome(c, a, b, sense, max_iter)
+    with dense_simplex():
+        want = _outcome(c, a, b, sense, max_iter)
+    _assert_same_path(got, want)
+
+
+def test_kernels_match_dense_reference_on_random_tableaus():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        rows = int(rng.integers(2, 9))
+        cols = rows + int(rng.integers(1, 6))
+        shape = (rows + 1, cols + 1)
+        tab = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), 0.0)
+        basis = rng.choice(cols, size=rows, replace=False)
+        cost = np.where(rng.random(cols) < 0.5, rng.normal(size=cols), 0.0)
+        got, want = tab.copy(), tab.copy()
+        simplex._set_objective(got, basis, cost)
+        dense_set_objective(want, basis, cost)
+        assert got.tobytes() == want.tobytes()
+        row = int(rng.integers(rows))
+        nonzero = np.flatnonzero(got[row, :-1])
+        if nonzero.size == 0:
+            continue
+        col = int(rng.choice(nonzero))
+        got_basis, want_basis = basis.copy(), basis.copy()
+        simplex._pivot(got, got_basis, row, col)
+        dense_pivot(want, want_basis, row, col)
+        assert np.array_equal(got, want)
+        assert got_basis.tolist() == want_basis.tolist()
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_pivot_path_pinned_on_witness_lp(monkeypatch, trial):
+    g = var_regular_graph(18, 25, 200, seed=3)
+    lamp = awgn_llr(g, 0.5, seed=7, trial=trial, map_spec=MapSpec.parse("threshold:1.0"))
+    calls = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
+    assert len(calls) == 1
+    (args, got), = calls
+    assert args[1].shape == (480, 902)  # the benchmark's witness LP shape
+    with dense_simplex():
+        want = solve(*args)
+    _assert_same_path(got, want)
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2, 3])
+def test_pivot_path_pinned_on_decoder_lps(monkeypatch, trial):
+    g = generate_regular(24, 3, 4, seed=3)
+    lamp = awgn_llr(g, 0.9, seed=5, trial=trial)
+    calls = recorded_solves(monkeypatch, lambda: lp_decode(g, lamp))
+    assert len(calls) == 2  # main solve, then the tie probe
+    for args, got in calls:
+        with dense_simplex():
+            want = solve(*args)
+        _assert_same_path(got, want)

@@ -24,8 +24,8 @@ from lpldpc import (
 from lpldpc import ChannelParams, normalized_llr, transmit_awgn
 from lpldpc.witness import ParameterError
 
-from conftest import awgn_llr
-from oracles import q_tail, var_regular_graph
+from conftest import awgn_llr, recorded_solves
+from oracles import q_tail, var_regular_graph, witness_lp_by_loops
 
 THRESHOLD1 = MapSpec.threshold(1.0)
 
@@ -312,6 +312,20 @@ def test_witness_sign_matches_decoder(g34_small):
         checked += 1
         assert (s > 0) == lp_decode(g34_small, lam).is_zero_codeword()
     assert checked >= 35
+
+
+@pytest.mark.parametrize("g", [
+    generate_regular(12, 3, 4, seed=11),
+    TannerGraph(5, [[3, 1, 4], [0, 2], [4, 0, 1, 2], [2]]),  # unsorted, mixed degrees
+    var_regular_graph(18, 25, 200, seed=3),
+])
+def test_witness_lp_matches_loop_assembly(monkeypatch, g):
+    lamp = np.linspace(-0.5, 1.5, g.n)
+    ((c, a, b, _), _), = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
+    want_c, want_a, want_b = witness_lp_by_loops(g, lamp)
+    assert c.tobytes() == want_c.tobytes()
+    assert a.shape == want_a.shape and a.tobytes() == want_a.tobytes()
+    assert b.tobytes() == want_b.tobytes()
 
 
 def test_chernoff_budget_hits_quarter_sigma():
