@@ -9,6 +9,9 @@ odd-subset inequalities
 together with the box 0 <= x <= 1. Decoding maximizes the signal-domain
 correlation sum((1 - 2 x_i) * llr_i), equivalently minimizes llr . x over
 the polytope.
+
+Only LP decoding builds these rows, so only it is bound by MAX_CHECK_DEGREE;
+membership finds each check's most violated row of every size by a sort.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-8
 TIE_TOL = 1e-9         # two optima count as tied when their values match this closely
 TIE_FACE_EPS = 1e-12   # slack when probing the optimal face; see lp_decode
-MAX_CHECK_DEGREE = 16  # 2^(d_c - 1) inequalities per check
+MAX_CHECK_DEGREE = 16  # 2^(d_c - 1) inequalities per check, built for lp_decode
 MAX_DIMENSION = 24     # brute-force codeword enumeration cap
 
 
@@ -97,15 +100,31 @@ def lp_solve(cons, c, sense="max"):
     return sol.x, sol.value
 
 
+def _odd_subset_gaps(g, w):
+    """Most violated odd-subset row of every size at each check.
+
+    Over size-s subsets S, sum_S w - sum_rest w peaks at the s largest
+    entries: the gap 2 * csum[s - 1] - total of the descending prefix sums.
+    Yields ``(checks, gaps)`` per degree, ascending and skipping degree 0;
+    ``gaps[k, t]`` is check ``checks[k]``'s gap at size 2t + 1 (bound 2t).
+    """
+    degs = g.check_degrees
+    for d in np.unique(degs[degs > 0]):
+        checks = np.flatnonzero(degs == d)
+        vals = np.sort(w[[g.check_nbrs[j] for j in checks]], axis=1)[:, ::-1]
+        total = vals.sum(axis=1)
+        yield checks, 2.0 * np.cumsum(vals, axis=1)[:, ::2] - total[:, None]
+
+
 def membership(g, w, tol=FEASIBILITY_TOL):
     """True iff ``w`` satisfies every polytope constraint within ``tol``."""
     w = np.asarray(w, dtype=float)
     if w.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} vector, got shape {w.shape}")
-    if (w < -tol).any():
+    if not np.isfinite(w).all() or (w < -tol).any() or (w > 1 + tol).any():
         return False
-    cons = build_constraints(g)
-    return bool((cons.a @ w <= cons.b + tol).all())
+    return all((gaps <= 2.0 * np.arange(gaps.shape[1]) + tol).all()
+               for _, gaps in _odd_subset_gaps(g, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +197,11 @@ def lp_decode(g, lamp):
     return DecodeOutcome(status="fractional", vertex=x1, objective=objective)
 
 
-def _codeword_chunks(basis, chunk_bits=16):
+def _codeword_chunks(g, chunk_bits=16):
+    basis = gf2.nullspace_basis(g.parity_check_matrix())
     k, _ = basis.shape
+    if k > MAX_DIMENSION:
+        raise ValueError(f"code dimension {k} exceeds cap {MAX_DIMENSION}")
     words = basis.astype(np.int64)
     step = 1 << min(chunk_bits, k)
     shifts = np.arange(k, dtype=np.int64)
@@ -194,11 +216,7 @@ def enumerate_codewords(g):
 
     k = n - rank(H) over GF(2); capped at MAX_DIMENSION.
     """
-    basis = gf2.nullspace_basis(g.parity_check_matrix())
-    k = basis.shape[0]
-    if k > MAX_DIMENSION:
-        raise ValueError(f"code dimension {k} exceeds cap {MAX_DIMENSION}")
-    return np.vstack(list(_codeword_chunks(basis)))
+    return np.vstack(list(_codeword_chunks(g)))
 
 
 def ml_decode(g, lamp):
@@ -210,13 +228,10 @@ def ml_decode(g, lamp):
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
-    basis = gf2.nullspace_basis(g.parity_check_matrix())
-    if basis.shape[0] > MAX_DIMENSION:
-        raise ValueError(f"code dimension {basis.shape[0]} exceeds cap {MAX_DIMENSION}")
     total = lamp.sum()
     best_value = -np.inf
     best_bytes = None
-    for chunk in _codeword_chunks(basis):
+    for chunk in _codeword_chunks(g):
         values = total - 2.0 * (chunk @ lamp)
         cmax = values.max()
         if cmax < best_value:

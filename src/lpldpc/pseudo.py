@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import qfunc
-from .lpdec import membership
+from .lpdec import _odd_subset_gaps, membership
 from .tanner import bfs_tiers
 
 __all__ = [
@@ -64,9 +64,10 @@ def max_scaling_alpha(g, profile):
 
     The box rows give 1 / max(profile); a size-s odd subset with positive
     gap g_S = sum_S - sum_rest gives (s - 1) / g_S, and for each size the
-    binding subset is the one collecting the s largest entries at the check.
-    Size-1 subsets scale with alpha on both sides, so they must already hold
-    for the profile; a violation is reported as an error.
+    binding subset collects the s largest entries at the check (the gaps
+    ``membership`` tests). Size-1 subsets scale with alpha on both sides, so
+    they must already hold for the profile; a violation is reported as an
+    error naming the lowest failing check.
     """
     p = np.asarray(profile, dtype=float)
     if p.shape != (g.n,):
@@ -76,21 +77,18 @@ def max_scaling_alpha(g, profile):
     if p.max() <= 0:
         raise ValueError("profile must have a positive entry")
     alpha = 1.0 / p.max()
-    for j, nbrs in enumerate(g.check_nbrs):
-        if not nbrs:
-            continue
-        vals = np.sort(p[list(nbrs)])[::-1]
-        total = vals.sum()
-        if 2.0 * vals[0] > total + 1e-9:
-            raise ValueError(
-                f"check {j}: size-1 odd-subset constraint fails for the profile "
-                "(not a tier profile of a regular graph?)"
-            )
-        csum = np.cumsum(vals)
-        for s in range(3, len(vals) + 1, 2):
-            gap = 2.0 * csum[s - 1] - total
-            if gap > 1e-12:
-                alpha = min(alpha, (s - 1) / gap)
+    failing = []
+    for checks, gaps in _odd_subset_gaps(g, p):
+        failing.extend(checks[gaps[:, 0] > 1e-9].tolist())
+        odd = gaps[:, 1:]  # sizes 3, 5, ...: column t has s - 1 = 2t + 2
+        binding = odd > 1e-12
+        if binding.any():
+            alpha = min(alpha, (2.0 * (np.nonzero(binding)[1] + 1) / odd[binding]).min())
+    if failing:
+        raise ValueError(
+            f"check {min(failing)}: size-1 odd-subset constraint fails for the profile "
+            "(not a tier profile of a regular graph?)"
+        )
     if not membership(g, alpha * p):
         raise RuntimeError("scaled profile failed the membership re-check")
     return float(alpha)

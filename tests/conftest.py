@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lpldpc import TannerGraph, generate_regular
 
@@ -47,3 +48,14 @@ def recorded_solves(monkeypatch, run):
     run()
     monkeypatch.setattr(simplex, "solve", real)
     return calls
+
+
+@st.composite
+def irregular_graphs(draw, max_degree):
+    """Random check sides with degrees 0 .. max_degree, low degrees favoured."""
+    n = draw(st.integers(1, max_degree + 2))
+    degree = st.one_of(st.integers(0, 2), st.integers(3, max(3, min(n, max_degree))))
+    degs = draw(st.lists(degree, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TannerGraph(n, [sorted(rng.choice(n, size=min(d, n), replace=False).tolist())
+                           for d in degs])

@@ -3,11 +3,13 @@
 Nothing here may call the code paths it checks: distances come from
 Floyd-Warshall rather than BFS, tail probabilities from math.erfc rather
 than scipy, vertex enumeration from qhull (and raw basis enumeration at
-tiny sizes) rather than the simplex solver, and profile scaling from
+tiny sizes) rather than the simplex solver, polytope membership from every
+odd-subset row rather than the sorted prefix sums, and profile scaling from
 bisection rather than the closed form. The dense pivot below is the
 full rank-one tableau update that the simplex's in-place pivot must match,
 and the witness LP is also built entry by entry to pin its vectorized
-assembly.
+assembly. The per-check scaling loop is the one the vectorized scaling
+replaced, kept as its reference.
 """
 
 import contextlib
@@ -93,6 +95,52 @@ def alpha_by_bisection(membership, g, profile, iters=80):
         else:
             hi = mid
     return lo
+
+
+def membership_by_rows(g, w, tol=1e-8):
+    """Polytope membership tested on every box and odd-subset row.
+
+    Each size-s subset S of a check gives the row
+    sum_S w - sum_rest w <= s - 1, evaluated as a +-1 matrix product.
+    Exponential in the check degree.
+    """
+    w = np.asarray(w, dtype=float)
+    if not ((w >= -tol) & (w <= 1.0 + tol)).all():
+        return False  # NaN fails both comparisons
+    for nbrs in g.check_nbrs:
+        for size in range(1, len(nbrs) + 1, 2):
+            subsets = np.array(list(itertools.combinations(range(len(nbrs)), size)))
+            rows = -np.ones((len(subsets), len(nbrs)))
+            np.put_along_axis(rows, subsets, 1.0, axis=1)
+            if not (rows @ w[list(nbrs)] <= size - 1 + tol).all():
+                return False
+    return True
+
+
+def alpha_by_check_loop(g, profile):
+    """Closed-form profile scaling, one check and one odd size at a time.
+
+    The loop ``max_scaling_alpha`` ran before its checks were vectorized;
+    the vectorized form must return the same float.
+    """
+    p = np.asarray(profile, dtype=float)
+    alpha = 1.0 / p.max()
+    for j, nbrs in enumerate(g.check_nbrs):
+        if not nbrs:
+            continue
+        vals = np.sort(p[list(nbrs)])[::-1]
+        total = vals.sum()
+        if 2.0 * vals[0] > total + 1e-9:
+            raise ValueError(
+                f"check {j}: size-1 odd-subset constraint fails for the profile "
+                "(not a tier profile of a regular graph?)"
+            )
+        csum = np.cumsum(vals)
+        for s in range(3, len(vals) + 1, 2):
+            gap = 2.0 * csum[s - 1] - total
+            if gap > 1e-12:
+                alpha = min(alpha, (s - 1) / gap)
+    return float(alpha)
 
 
 def var_regular_graph(n, d_v, m, seed):

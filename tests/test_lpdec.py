@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpldpc import (
     MapSpec,
@@ -17,8 +19,8 @@ from lpldpc import (
 )
 from lpldpc.gf2 import nullspace_basis, rank
 
-from conftest import awgn_llr
-from oracles import best_vertex_value, vertices_by_bases, vertices_by_qhull
+from conftest import awgn_llr, irregular_graphs
+from oracles import best_vertex_value, membership_by_rows, vertices_by_bases, vertices_by_qhull
 
 
 def test_single_check_constraint_counts(single_check):
@@ -49,6 +51,58 @@ def test_check_degree_cap():
     g = TannerGraph(17, [list(range(17))])
     with pytest.raises(ValueError, match="cap"):
         build_constraints(g)
+
+
+def test_membership_answers_above_degree_cap():
+    # degree 18 > MAX_CHECK_DEGREE: membership builds no rows, so it answers
+    g = TannerGraph(20, [list(range(18)), [17, 18, 19]])
+    rng = np.random.default_rng(18)
+    points = [np.full(20, 0.5), np.zeros(20), rng.random(20), 0.2 * rng.random(20)]
+    inside = np.zeros(20)
+    inside[[0, 1, 18, 19]] = 1.0  # a codeword: even at both checks
+    outside = inside.copy()
+    outside[2] = 1.0
+    points += [inside, outside, 0.9 * inside + 0.05]
+    for w in points:
+        assert membership(g, w) == membership_by_rows(g, w)
+    assert membership(g, inside) and not membership(g, outside)
+
+
+def test_nan_is_not_a_member(single_check):
+    assert not membership(single_check, np.array([np.nan, 0.0, 0.0]))
+    assert not membership(single_check, np.array([0.5, np.nan, 0.5]))
+    assert not membership(single_check, np.array([0.0, np.inf, 0.0]))
+    # a variable in no check meets only the box, which NaN slips past
+    g = TannerGraph(4, [[0, 1, 2], []])
+    w = np.array([0.0, 0.0, 0.0, np.nan])
+    assert not membership(g, w)
+    assert not membership_by_rows(g, w)
+
+
+@st.composite
+def cube_points(draw, n):
+    """Interior, boundary, box-violating and lattice points of the unit cube."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "lattice", "bits", "half", "box"]))
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "lattice":  # sums land exactly on right-hand sides
+        return rng.integers(0, 5, size=n) / 4.0
+    if kind == "bits":  # codewords sit on every one of their checks' faces
+        return rng.integers(0, 2, size=n).astype(float)
+    if kind == "half":
+        w = np.full(n, 0.5)
+        w[rng.random(n) < 0.3] = draw(st.sampled_from([0.0, 1.0]))
+        return w
+    return rng.uniform(-0.1, 1.1, size=n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_membership_matches_row_oracle(data):
+    g = data.draw(irregular_graphs(max_degree=10))
+    w = data.draw(cube_points(g.n))
+    assert membership(g, w) == membership_by_rows(g, w)
 
 
 def test_lp_solve_examples(single_check):
@@ -101,6 +155,15 @@ def test_codewords_pass_membership():
     g = generate_regular(12, 3, 4, seed=3)
     for w in enumerate_codewords(g):
         assert membership(g, w.astype(float))
+
+
+def test_code_dimension_cap_shared():
+    # one check on 26 variables leaves dimension 25 > MAX_DIMENSION = 24
+    g = TannerGraph(26, [[0, 1]])
+    with pytest.raises(ValueError, match="code dimension 25 exceeds cap 24"):
+        enumerate_codewords(g)
+    with pytest.raises(ValueError, match="code dimension 25 exceeds cap 24"):
+        ml_decode(g, np.ones(26))
 
 
 def test_ml_decode_examples(single_check):

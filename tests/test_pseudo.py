@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpldpc import (
     PseudoCodeword,
+    TannerGraph,
     awgnc_pseudoweight,
     beats_zero,
     bfs_tiers,
@@ -20,8 +23,8 @@ from lpldpc import (
     wer_lower_bound,
 )
 
-from conftest import awgn_llr
-from oracles import alpha_by_bisection, q_tail
+from conftest import awgn_llr, irregular_graphs
+from oracles import alpha_by_bisection, alpha_by_check_loop, membership_by_rows, q_tail
 
 WER_AT_T4 = 0.020246612442445522  # (1 - 1/4)(8 pi)^(-1/2) e^(-2), frozen
 
@@ -74,10 +77,61 @@ def test_alpha_matches_bisection_oracle():
         g = generate_regular(n, dv, dc, seed=seed)
         prof = canonical_profile(g, bfs_tiers(g, 1))
         alpha = max_scaling_alpha(g, prof)
-        oracle = alpha_by_bisection(membership, g, prof)
+        oracle = alpha_by_bisection(membership_by_rows, g, prof)
         assert alpha == pytest.approx(oracle, abs=1e-9)
         assert membership(g, alpha * prof)
         assert not membership(g, (alpha + 1e-5) * prof, tol=1e-10)
+
+
+def _alpha_or_error(fn, g, prof):
+    try:
+        return fn(g, prof)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dc=st.integers(3, 20), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       tiers=st.booleans(), scale=st.sampled_from([1.0, 1e-9]))
+def test_alpha_equals_check_loop_at_high_degree(dc, m, seed, tiers, scale):
+    # numpy sums more than 8 entries pairwise, so check degrees up to 20 pin
+    # that the vectorized sums round exactly like the per-check ones
+    rng = np.random.default_rng(seed)
+    n = dc + 3
+    g = TannerGraph(n, [sorted(rng.choice(n, size=dc, replace=False).tolist())
+                        for _ in range(m)])
+    if tiers:  # tier-decay values (d_c - 1)^(-t): many exact ties
+        prof = (1.0 / (dc - 1)) ** rng.integers(0, 3, size=n)
+    else:
+        # max <= sum of the rest at every check, so a tiny scale (gaps near
+        # the 1e-12 cut-off) cannot hide a size-1 violation
+        prof = scale * rng.uniform(0.5, 1.0, size=n)
+    got = _alpha_or_error(max_scaling_alpha, g, prof)
+    assert got == _alpha_or_error(alpha_by_check_loop, g, prof)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_alpha_equals_check_loop_on_irregular_graphs(data):
+    # degree-0, -1 and -2 checks, ties and zeros; an error must name the
+    # same (lowest) failing check as the loop
+    g = data.draw(irregular_graphs(max_degree=20))
+    n = g.n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["uniform", "high", "tiers"]))
+    if kind == "uniform":
+        prof = rng.random(n)
+    elif kind == "high":  # max <= sum of the rest at every check of degree >= 3
+        prof = rng.uniform(0.5, 1.0, size=n)
+    else:
+        prof = 3.0 ** -rng.integers(0, 4, size=n).astype(float)
+    prof[rng.random(n) < 0.1] = 0.0
+    if not prof.any():
+        prof[0] = 1.0
+    got = _alpha_or_error(max_scaling_alpha, g, prof)
+    assert got == _alpha_or_error(alpha_by_check_loop, g, prof)
+    if isinstance(got, float):
+        assert membership_by_rows(g, got * prof)
 
 
 def test_alpha_homogeneity(g34_small):
