@@ -67,7 +67,8 @@ def max_scaling_alpha(g, profile):
     binding subset collects the s largest entries at the check (the gaps
     ``membership`` tests). Size-1 subsets scale with alpha on both sides, so
     they must already hold for the profile; a violation is reported as an
-    error naming the lowest failing check.
+    error naming the lowest failing check. Both cut-offs are relative to
+    max(profile), so the result scales exactly with the profile.
     """
     p = np.asarray(profile, dtype=float)
     if p.shape != (g.n,):
@@ -79,9 +80,9 @@ def max_scaling_alpha(g, profile):
     alpha = 1.0 / p.max()
     failing = []
     for checks, gaps in _odd_subset_gaps(g, p):
-        failing.extend(checks[gaps[:, 0] > 1e-9].tolist())
+        failing.extend(checks[gaps[:, 0] > 1e-9 * p.max()].tolist())
         odd = gaps[:, 1:]  # sizes 3, 5, ...: column t has s - 1 = 2t + 2
-        binding = odd > 1e-12
+        binding = odd > 1e-12 * p.max()
         if binding.any():
             alpha = min(alpha, (2.0 * (np.nonzero(binding)[1] + 1) / odd[binding]).min())
     if failing:

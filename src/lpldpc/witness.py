@@ -7,6 +7,14 @@ LP decoder returns the all-zeros codeword; ``witness_search`` decides this
 exactly by maximizing the worst per-variable slack, and the constructive
 path builds an assignment from a check-disjoint matching that gives every
 high-noise variable enough private checks.
+
+The witness LP is written over the generators of each check's pairwise cone
+rather than over its pairs: one non-negative weight mu per edge, with
+tau_ij = M_j - 2 mu_ij and M_j the sum of mu at check j. Every pairwise sum
+is then 2 * (sum of the other mu) >= 0, so the LP keeps only the n variable
+rows and a cap row, instead of one row per pair of edges at a check (a
+number that grows with the square of the check degree). Its optimum is the
+same number as the pairwise LP's; ``witness_search`` gives the argument.
 """
 
 from __future__ import annotations
@@ -366,12 +374,20 @@ def check_feasible(g, weights, lamp):
 def witness_search(g, lamp):
     """Maximum worst-case slack s* over all weight assignments, by LP.
 
-    maximize s subject to tau_ij + tau_i'j >= 0 at every check and
-    sum_j tau_ij + s <= llr_i at every variable, with s capped by max(llr)
-    to keep the LP bounded (summing the variable rows shows the best slack
-    never exceeds the mean LLR, so the cap is inactive at the optimum).
-    s* > 0 certifies a strictly feasible assignment exists; s* <= 0
-    certifies none does. Free variables are split into positive parts.
+    s* = max min_i (llr_i - sum_j tau_ij) over pairwise-feasible tau. At a
+    check of degree d the feasible weights form the cone {tau_a + tau_b >= 0},
+    generated by the rays e_a and -e_a + sum_{b != a} e_b. So
+    tau_ij = M_j - 2 mu_ij + nu_ij with mu, nu >= 0 and
+    M_j = sum_{i' in N(j)} mu_i'j. The e_a parts nu only raise variable sums,
+    so nu = 0 loses nothing, and the LP is: maximize s subject to
+    sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i for every variable i, over
+    one mu per edge and s split into positive parts. s* > 0 certifies a
+    strictly feasible assignment exists; s* <= 0 certifies none does.
+
+    The row s <= max(llr) stays. When every check has degree >= 2, its
+    weights sum to (d - 2) M_j >= 0, so summing the variable rows bounds s
+    by the mean LLR and the cap is inactive. At a degree-1 check tau is -mu,
+    unbounded below, and without the cap s can be unbounded too.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
@@ -380,36 +396,19 @@ def witness_search(g, lamp):
         raise ValueError("LLR vector must be finite")
     edge_var, edge_check = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
     ne = edge_var.size
-    sp, sm = 2 * ne, 2 * ne + 1
-    # Pair rows list each check's variable pairs in itertools.combinations
-    # order, checks ascending. A stable sort of the variable-major edges by
-    # check puts each check's edges in ascending variable order; the edge at
-    # sorted position p pairs with every later position of its check.
-    order = np.argsort(edge_check, kind="stable")
-    check_end = np.cumsum(np.bincount(edge_check, minlength=g.m))
-    idx = np.arange(ne)
-    later = check_end[edge_check[order]] - 1 - idx
-    first = np.repeat(idx, later)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    k1, k2 = order[first], order[second]
-    npairs = first.size
-    a = np.zeros((npairs + g.n + 1, 2 * ne + 2))
-    b = np.zeros(npairs + g.n + 1)
-    pair_rows = np.arange(npairs)
-    a[pair_rows, k1] = a[pair_rows, k2] = -1.0
-    a[pair_rows, ne + k1] = a[pair_rows, ne + k2] = 1.0
-    var_rows = npairs + np.arange(g.n)
-    a[npairs + edge_var, idx] = 1.0
-    a[npairs + edge_var, ne + idx] = -1.0
-    a[var_rows, sp] = 1.0
-    a[var_rows, sm] = -1.0
-    b[var_rows] = lamp
-    a[-1, sp] = 1.0
-    a[-1, sm] = -1.0
-    b[-1] = lamp.max()
-    c = np.zeros(2 * ne + 2)
-    c[sp] = 1.0
-    c[sm] = -1.0
+    h = np.zeros((g.m, g.n))
+    h[edge_check, edge_var] = 1.0
+    # Column (i', j) carries mu_i'j: +1 in the row of every variable at check
+    # j (its share of M_j), and 1 - 2 = -1 in its own variable's row.
+    a = np.zeros((g.n + 1, ne + 2))
+    a[:g.n, :ne] = h[edge_check].T
+    a[edge_var, np.arange(ne)] = -1.0
+    a[:, ne] = 1.0
+    a[:, ne + 1] = -1.0
+    b = np.append(lamp, lamp.max())
+    c = np.zeros(ne + 2)
+    c[ne] = 1.0
+    c[ne + 1] = -1.0
     sol = simplex.solve(c, a, b, sense="max")
     return float(sol.value)
 

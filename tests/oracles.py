@@ -5,11 +5,13 @@ Floyd-Warshall rather than BFS, tail probabilities from math.erfc rather
 than scipy, vertex enumeration from qhull (and raw basis enumeration at
 tiny sizes) rather than the simplex solver, polytope membership from every
 odd-subset row rather than the sorted prefix sums, and profile scaling from
-bisection rather than the closed form. The dense pivot below is the
-full rank-one tableau update that the simplex's in-place pivot must match,
-and the witness LP is also built entry by entry to pin its vectorized
-assembly. The per-check scaling loop is the one the vectorized scaling
-replaced, kept as its reference.
+bisection rather than the closed form, and the witness optimum from the
+pairwise edge-weight LP (one row per pair of edges at a check) rather than
+from the cone generators. The dense pivot below is the full rank-one
+tableau update that the simplex's in-place pivot must match, and the
+witness LP is also built entry by entry to pin its vectorized assembly.
+The per-check scaling loop is the one the vectorized scaling replaced, kept
+as its reference.
 """
 
 import contextlib
@@ -121,7 +123,8 @@ def alpha_by_check_loop(g, profile):
     """Closed-form profile scaling, one check and one odd size at a time.
 
     The loop ``max_scaling_alpha`` ran before its checks were vectorized;
-    the vectorized form must return the same float.
+    the vectorized form must return the same float. Its cut-offs are
+    relative to max(profile), like the vectorized form's.
     """
     p = np.asarray(profile, dtype=float)
     alpha = 1.0 / p.max()
@@ -130,7 +133,7 @@ def alpha_by_check_loop(g, profile):
             continue
         vals = np.sort(p[list(nbrs)])[::-1]
         total = vals.sum()
-        if 2.0 * vals[0] > total + 1e-9:
+        if 2.0 * vals[0] > total + 1e-9 * p.max():
             raise ValueError(
                 f"check {j}: size-1 odd-subset constraint fails for the profile "
                 "(not a tier profile of a regular graph?)"
@@ -138,7 +141,7 @@ def alpha_by_check_loop(g, profile):
         csum = np.cumsum(vals)
         for s in range(3, len(vals) + 1, 2):
             gap = 2.0 * csum[s - 1] - total
-            if gap > 1e-12:
+            if gap > 1e-12 * p.max():
                 alpha = min(alpha, (s - 1) / gap)
     return float(alpha)
 
@@ -197,7 +200,43 @@ def dense_simplex():
 
 
 def witness_lp_by_loops(g, lamp):
-    """(c, A, b) of ``witness_search``'s LP, one constraint entry at a time."""
+    """(c, A, b) of ``witness_search``'s LP, one constraint entry at a time.
+
+    Columns: mu per edge in ``g.edges()`` order, then s+ and s-. Rows: one
+    per variable, sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i, then the
+    cap s <= max(llr).
+    """
+    edges = g.edges()
+    ne = len(edges)
+    eidx = {e: k for k, e in enumerate(edges)}
+    a = np.zeros((g.n + 1, ne + 2))
+    for j, nbrs in enumerate(g.check_nbrs):
+        for i_own in nbrs:
+            k = eidx[(i_own, j)]
+            for i in nbrs:
+                a[i, k] += 1.0  # mu_i'j is part of M_j in every row at check j
+            a[i_own, k] -= 2.0
+    for r in range(g.n + 1):
+        a[r, ne] = 1.0
+        a[r, ne + 1] = -1.0
+    b = np.zeros(g.n + 1)
+    b[:g.n] = lamp
+    b[g.n] = lamp.max()
+    c = np.zeros(ne + 2)
+    c[ne] = 1.0
+    c[ne + 1] = -1.0
+    return c, a, b
+
+
+def pairwise_witness_lp_by_loops(g, lamp):
+    """(c, A, b) of the witness LP over edge weights, one row per edge pair.
+
+    Columns: tau+ per edge, tau- per edge, then s+ and s-. Rows:
+    tau_ij + tau_i'j >= 0 for every pair at a check, then
+    sum_j tau_ij + s <= llr_i per variable and the cap s <= max(llr). This
+    is the direct form of the witness conditions, the reference optimum for
+    ``witness_search``'s cone-generator LP.
+    """
     edges = g.edges()
     ne = len(edges)
     eidx = {e: k for k, e in enumerate(edges)}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpldpc import (
@@ -92,8 +92,10 @@ def _alpha_or_error(fn, g, prof):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(dc=st.integers(3, 20), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       tiers=st.booleans(), scale=st.sampled_from([1.0, 1e-9]))
-def test_alpha_equals_check_loop_at_high_degree(dc, m, seed, tiers, scale):
+       tiers=st.booleans(), scale=st.sampled_from([1.0, 1e-9]),
+       violate=st.booleans())
+@example(dc=5, m=2, seed=0, tiers=False, scale=1e-9, violate=True)
+def test_alpha_equals_check_loop_at_high_degree(dc, m, seed, tiers, scale, violate):
     # numpy sums more than 8 entries pairwise, so check degrees up to 20 pin
     # that the vectorized sums round exactly like the per-check ones
     rng = np.random.default_rng(seed)
@@ -103,9 +105,17 @@ def test_alpha_equals_check_loop_at_high_degree(dc, m, seed, tiers, scale):
     if tiers:  # tier-decay values (d_c - 1)^(-t): many exact ties
         prof = (1.0 / (dc - 1)) ** rng.integers(0, 3, size=n)
     else:
-        # max <= sum of the rest at every check, so a tiny scale (gaps near
-        # the 1e-12 cut-off) cannot hide a size-1 violation
+        # max <= sum of the rest at every check, so only the scale moves
+        # the gaps
         prof = scale * rng.uniform(0.5, 1.0, size=n)
+    if violate:
+        # one entry just above the sum of the rest at check 0: the size-1
+        # row fails by a gap that the 1e-9 scale puts under any absolute
+        # cut-off, and it must still raise the named error
+        nbrs = g.check_nbrs[0]
+        prof[nbrs[0]] = 1.001 * prof[list(nbrs[1:])].sum()
+        with pytest.raises(ValueError, match="check 0: size-1"):
+            max_scaling_alpha(g, prof)
     got = _alpha_or_error(max_scaling_alpha, g, prof)
     assert got == _alpha_or_error(alpha_by_check_loop, g, prof)
 

@@ -243,7 +243,7 @@ def test_pivot_path_pinned_on_witness_lp(monkeypatch, trial):
     calls = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
     assert len(calls) == 1
     (args, got), = calls
-    assert args[1].shape == (480, 902)  # the benchmark's witness LP shape
+    assert args[1].shape == (19, 452)  # the benchmark's witness LP: n + 1 rows, |E| + 2 columns
     with dense_simplex():
         want = solve(*args)
     _assert_same_path(got, want)

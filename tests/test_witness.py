@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpldpc import (
     MapSpec,
@@ -21,11 +23,16 @@ from lpldpc import (
     weights_from_matching,
     witness_search,
 )
-from lpldpc import ChannelParams, normalized_llr, transmit_awgn
+from lpldpc import ChannelParams, EdgeWeights, normalized_llr, simplex, transmit_awgn
 from lpldpc.witness import ParameterError
 
-from conftest import awgn_llr, recorded_solves
-from oracles import q_tail, var_regular_graph, witness_lp_by_loops
+from conftest import awgn_llr, irregular_graphs, recorded_solves
+from oracles import (
+    pairwise_witness_lp_by_loops,
+    q_tail,
+    var_regular_graph,
+    witness_lp_by_loops,
+)
 
 THRESHOLD1 = MapSpec.threshold(1.0)
 
@@ -326,6 +333,34 @@ def test_witness_lp_matches_loop_assembly(monkeypatch, g):
     assert c.tobytes() == want_c.tobytes()
     assert a.shape == want_a.shape and a.tobytes() == want_a.tobytes()
     assert b.tobytes() == want_b.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_witness_search_matches_pairwise_lp(data):
+    # degree-0, -1 and -2 checks included; quantize2 LLRs make the LPs
+    # highly degenerate
+    g = data.draw(irregular_graphs(max_degree=8))
+    spec = data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"]))
+    sigma = data.draw(st.sampled_from([0.3, 0.8, 1.5]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lamp = MapSpec.parse(spec).apply(rng.normal(1.0, sigma, size=g.n))
+    with pytest.MonkeyPatch.context() as mp:
+        ((_, a, _, _), sol), = recorded_solves(mp, lambda: witness_search(g, lamp))
+    s_star = witness_search(g, lamp)
+    edges = g.edges()
+    assert a.shape == (g.n + 1, len(edges) + 2)  # no row per edge pair
+    want = simplex.solve(*pairwise_witness_lp_by_loops(g, lamp), sense="max").value
+    assert abs(s_star - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
+
+    # tau_ij = M_j - 2 mu_ij from the optimal vertex is a witness with
+    # margin s*, by the independent constructive checker
+    mu = {e: sol.x[k] for k, e in enumerate(edges)}
+    big_m = [sum(mu[(i, j)] for i in nbrs) for j, nbrs in enumerate(g.check_nbrs)]
+    tau = {(i, j): big_m[j] - 2.0 * mu[(i, j)] for i, j in edges}
+    verdict = check_feasible(g, EdgeWeights(tau), lamp)
+    assert verdict.pairwise_ok
+    assert verdict.margin >= s_star - 1e-9
 
 
 def test_chernoff_budget_hits_quarter_sigma():
