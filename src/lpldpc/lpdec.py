@@ -111,7 +111,8 @@ def _odd_subset_gaps(g, w):
     degs = g.check_degrees
     for d in np.unique(degs[degs > 0]):
         checks = np.flatnonzero(degs == d)
-        vals = np.sort(w[[g.check_nbrs[j] for j in checks]], axis=1)[:, ::-1]
+        edge = g.check_indptr[checks, None] + np.arange(d)
+        vals = np.sort(w[g.check_indices[edge]], axis=1)[:, ::-1]
         total = vals.sum(axis=1)
         yield checks, 2.0 * np.cumsum(vals, axis=1)[:, ::2] - total[:, None]
 

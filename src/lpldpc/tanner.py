@@ -6,7 +6,7 @@ Variable and check indices are 0-based everywhere in memory; alist files are
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,33 +54,59 @@ class TannerGraph:
     order is the file/insertion order); ``var_nbrs[i]`` is the exact transpose
     view with checks in ascending order of construction. Parallel edges are
     rejected. Instances are safe to share across threads.
+
+    The same adjacency is kept as read-only CSR index arrays: check j's
+    variables are ``check_indices[check_indptr[j]:check_indptr[j + 1]]`` and
+    variable i's checks are ``var_indices[var_indptr[i]:var_indptr[i + 1]]``,
+    in the order of the tuple views.
     """
 
-    __slots__ = ("n", "m", "check_nbrs", "var_nbrs")
+    __slots__ = ("n", "m", "check_nbrs", "var_nbrs",
+                 "check_indptr", "check_indices", "var_indptr", "var_indices")
 
     def __init__(self, n, check_nbrs):
         n = int(n)
         if n < 1:
             raise ValueError("need at least one variable node")
-        rows = tuple(tuple(int(i) for i in row) for row in check_nbrs)
+        rows = tuple(tuple(map(int, row)) for row in check_nbrs)
         if not rows:
             raise ValueError("need at least one check node")
-        var_nbrs = [[] for _ in range(n)]
-        seen = set()
-        for j, row in enumerate(rows):
-            for i in row:
-                if not 0 <= i < n:
-                    raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
-                if (i, j) in seen:
-                    raise ValueError(f"duplicate edge between variable {i} and check {j}")
-                seen.add((i, j))
-        for j, row in enumerate(rows):
-            for i in row:
-                var_nbrs[i].append(j)
+        m = len(rows)
+        check_indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, m), out=check_indptr[1:])
+        size = int(check_indptr[-1])
+        try:
+            var_of = np.fromiter(itertools.chain.from_iterable(rows), np.int64, size)
+        except OverflowError:  # such an index is out of range, and stays so when clamped
+            var_of = np.fromiter((min(max(i, -1), n) for i in itertools.chain.from_iterable(rows)),
+                                 np.int64, size)
+        check_of = np.repeat(np.arange(m, dtype=np.int64), np.diff(check_indptr))
+        # Stable by variable: each variable's edges stay in row-major order, so
+        # its checks ascend and a repeated edge sits next to its first copy.
+        order = np.argsort(var_of, kind="stable")
+        var_sorted, var_check = var_of[order], check_of[order]
+        repeat = (var_sorted[1:] == var_sorted[:-1]) & (var_check[1:] == var_check[:-1])
+        bad = np.flatnonzero((var_of < 0) | (var_of >= n))
+        dup = order[1:][repeat]
+        if bad.size or dup.size:
+            # first offender in row-major order; a range error wins a tie
+            first = min(bad.min(initial=size), dup.min(initial=size))
+            j = int(check_of[first])
+            i = rows[j][first - check_indptr[j]]
+            if bad.size and bad[0] == first:
+                raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
+            raise ValueError(f"duplicate edge between variable {i} and check {j}")
+        var_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(var_of, minlength=n), out=var_indptr[1:])
+        checks, ptr = var_check.tolist(), var_indptr.tolist()
         self.n = n
-        self.m = len(rows)
+        self.m = m
         self.check_nbrs = rows
-        self.var_nbrs = tuple(tuple(r) for r in var_nbrs)
+        self.var_nbrs = tuple(tuple(checks[a:b]) for a, b in zip(ptr, ptr[1:]))
+        self.check_indptr, self.check_indices = check_indptr, var_of
+        self.var_indptr, self.var_indices = var_indptr, var_check
+        for arr in (check_indptr, var_of, var_indptr, var_check):
+            arr.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, TannerGraph):
@@ -95,32 +121,31 @@ class TannerGraph:
 
     @property
     def num_edges(self):
-        return sum(len(r) for r in self.check_nbrs)
+        return int(self.check_indices.size)
 
     @property
     def var_degrees(self):
-        return np.array([len(r) for r in self.var_nbrs], dtype=np.int64)
+        return np.diff(self.var_indptr)
 
     @property
     def check_degrees(self):
-        return np.array([len(r) for r in self.check_nbrs], dtype=np.int64)
+        return np.diff(self.check_indptr)
 
     def regular_degrees(self):
         """(d_v, d_c) when both sides have uniform degree, else None."""
-        vd = {len(r) for r in self.var_nbrs}
-        cd = {len(r) for r in self.check_nbrs}
-        if len(vd) == 1 and len(cd) == 1:
-            return vd.pop(), cd.pop()
+        vd, cd = self.var_degrees, self.check_degrees
+        if vd.min() == vd.max() and cd.min() == cd.max():
+            return int(vd[0]), int(cd[0])
         return None
 
     def edges(self):
         """All (variable, check) pairs, variable-major, deterministic order."""
-        return tuple((i, j) for i in range(self.n) for j in self.var_nbrs[i])
+        return tuple(zip(np.repeat(np.arange(self.n), self.var_degrees).tolist(),
+                         self.var_indices.tolist()))
 
     def parity_check_matrix(self):
         h = np.zeros((self.m, self.n), dtype=np.uint8)
-        for j, row in enumerate(self.check_nbrs):
-            h[j, list(row)] = 1
+        h[np.repeat(np.arange(self.m), self.check_degrees), self.check_indices] = 1
         return h
 
 
@@ -178,11 +203,12 @@ def parse_alist(text):
 
     var_lists = read_block(lines[4:4 + n], var_deg, m, "variable")
     check_lists = read_block(lines[4 + n:], check_deg, n, "check")
-    want = {(i, j) for i, row in enumerate(var_lists) for j in row}
-    have = {(i, j) for j, row in enumerate(check_lists) for i in row}
-    if want != have:
+    # Blocks already checked cannot fail the constructor; its transpose view
+    # lists each variable's checks in ascending order.
+    g = TannerGraph(n, check_lists)
+    if list(map(tuple, map(sorted, var_lists))) != list(g.var_nbrs):
         raise AlistError("variable and check adjacency blocks disagree")
-    return TannerGraph(n, check_lists)
+    return g
 
 
 def emit_alist(g):
@@ -220,16 +246,15 @@ def generate_regular(n, d_v, d_c, seed):
             f"no simple graph exists: degrees ({d_v}, {d_c}) exceed the opposite side ({m}, {n})"
         )
     rng = np.random.default_rng(seed)
-    var_of = np.repeat(np.arange(n, dtype=np.int64), d_v)
     check_stub = np.repeat(np.arange(m, dtype=np.int64), d_c)
     for _ in range(RETRY_CAP):
-        check_of = check_stub[rng.permutation(n * d_v)]
-        pair_ids = var_of * m + check_of
-        if np.unique(pair_ids).size == n * d_v:
-            rows = [[] for _ in range(m)]
-            for i, j in zip(var_of.tolist(), check_of.tolist()):
-                rows[j].append(i)
-            return TannerGraph(n, [sorted(r) for r in rows])
+        # stub k belongs to variable k // d_v: row i holds variable i's checks
+        check_of = check_stub[rng.permutation(n * d_v)].reshape(n, d_v)
+        paired = np.sort(check_of, axis=1)
+        if not (paired[:, 1:] == paired[:, :-1]).any():
+            # stable, so each check lists its stubs, hence its variables, in order
+            rows = np.argsort(check_of, axis=None, kind="stable") // d_v
+            return TannerGraph(n, rows.reshape(m, d_c).tolist())
     raise GenerationError(
         f"no simple ({d_v}, {d_c})-regular graph found in {RETRY_CAP} resamples (n={n}, m={m})"
     )
@@ -250,6 +275,14 @@ class BfsTiers:
     num_tiers: int
 
 
+def _csr_gather(indptr, indices, nodes):
+    """Concatenated CSR rows of ``nodes``."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    return indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
+
+
 def bfs_tiers(g, root):
     """Tier ordering of all nodes by distance from variable node ``root``."""
     if not 0 <= root < g.n:
@@ -257,19 +290,18 @@ def bfs_tiers(g, root):
     var_tier = np.full(g.n, -1, dtype=np.int64)
     check_tier = np.full(g.m, -1, dtype=np.int64)
     var_tier[root] = 0
-    queue = deque([(root, True)])
-    while queue:
-        node, is_var = queue.popleft()
-        if is_var:
-            for j in g.var_nbrs[node]:
-                if check_tier[j] < 0:
-                    check_tier[j] = var_tier[node] + 1
-                    queue.append((j, False))
-        else:
-            for i in g.check_nbrs[node]:
-                if var_tier[i] < 0:
-                    var_tier[i] = check_tier[node] + 1
-                    queue.append((i, True))
+    frontier, tier = np.array([root], dtype=np.int64), 0
+    # Level-synchronous: expand every node at distance `tier`, alternating
+    # sides, so each node is labelled with its distance from the root.
+    sides = ((g.var_indptr, g.var_indices, check_tier),
+             (g.check_indptr, g.check_indices, var_tier))
+    while frontier.size:
+        indptr, indices, seen = sides[tier % 2]
+        reached = _csr_gather(indptr, indices, frontier)
+        reached = reached[seen[reached] < 0]
+        tier += 1
+        seen[reached] = tier
+        frontier = np.flatnonzero(seen == tier)
     if (var_tier < 0).any() or (check_tier < 0).any():
         raise DisconnectedGraphError(
             np.flatnonzero(var_tier < 0).tolist(), np.flatnonzero(check_tier < 0).tolist()

@@ -384,17 +384,21 @@ def witness_search(g, lamp):
     one mu per edge and s split into positive parts. s* > 0 certifies a
     strictly feasible assignment exists; s* <= 0 certifies none does.
 
-    The row s <= max(llr) stays. When every check has degree >= 2, its
+    The row s <= max|llr| stays. When every check has degree >= 2, its
     weights sum to (d - 2) M_j >= 0, so summing the variable rows bounds s
     by the mean LLR and the cap is inactive. At a degree-1 check tau is -mu,
-    unbounded below, and without the cap s can be unbounded too.
+    unbounded below, and without the cap s can be unbounded too; then s*
+    equals the cap. Any positive cap gives such an LP the right sign, and
+    max|llr| is positive unless every LLR is 0; max(llr) would give the
+    wrong sign whenever every LLR is negative.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
     if not np.isfinite(lamp).all():
         raise ValueError("LLR vector must be finite")
-    edge_var, edge_check = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    # edges in g.edges() order: variable-major, checks ascending
+    edge_var, edge_check = np.repeat(np.arange(g.n), g.var_degrees), g.var_indices
     ne = edge_var.size
     h = np.zeros((g.m, g.n))
     h[edge_check, edge_var] = 1.0
@@ -405,7 +409,7 @@ def witness_search(g, lamp):
     a[edge_var, np.arange(ne)] = -1.0
     a[:, ne] = 1.0
     a[:, ne + 1] = -1.0
-    b = np.append(lamp, lamp.max())
+    b = np.append(lamp, np.abs(lamp).max())
     c = np.zeros(ne + 2)
     c[ne] = 1.0
     c[ne + 1] = -1.0

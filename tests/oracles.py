@@ -11,12 +11,15 @@ from the cone generators. The dense pivot below is the full rank-one
 tableau update that the simplex's in-place pivot must match, and the
 witness LP is also built entry by entry to pin its vectorized assembly.
 The per-check scaling loop is the one the vectorized scaling replaced, kept
-as its reference.
+as its reference, and so are the Tanner graph layer's per-edge constructor,
+its queue BFS and its rejection sampler with ``np.unique``, which the array
+versions must match exactly.
 """
 
 import contextlib
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
@@ -204,7 +207,7 @@ def witness_lp_by_loops(g, lamp):
 
     Columns: mu per edge in ``g.edges()`` order, then s+ and s-. Rows: one
     per variable, sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i, then the
-    cap s <= max(llr).
+    cap s <= max|llr|.
     """
     edges = g.edges()
     ne = len(edges)
@@ -221,7 +224,7 @@ def witness_lp_by_loops(g, lamp):
         a[r, ne + 1] = -1.0
     b = np.zeros(g.n + 1)
     b[:g.n] = lamp
-    b[g.n] = lamp.max()
+    b[g.n] = np.abs(lamp).max()
     c = np.zeros(ne + 2)
     c[ne] = 1.0
     c[ne + 1] = -1.0
@@ -233,7 +236,7 @@ def pairwise_witness_lp_by_loops(g, lamp):
 
     Columns: tau+ per edge, tau- per edge, then s+ and s-. Rows:
     tau_ij + tau_i'j >= 0 for every pair at a check, then
-    sum_j tau_ij + s <= llr_i per variable and the cap s <= max(llr). This
+    sum_j tau_ij + s <= llr_i per variable and the cap s <= max|llr|. This
     is the direct form of the witness conditions, the reference optimum for
     ``witness_search``'s cone-generator LP.
     """
@@ -262,8 +265,94 @@ def pairwise_witness_lp_by_loops(g, lamp):
         r += 1
     a[r, sp] = 1.0
     a[r, sm] = -1.0
-    b[r] = lamp.max()
+    b[r] = np.abs(lamp).max()
     c = np.zeros(2 * ne + 2)
     c[sp] = 1.0
     c[sm] = -1.0
     return c, a, b
+
+
+def tanner_views_by_loops(n, check_nbrs):
+    """(check_nbrs, var_nbrs) tuples as the per-edge constructor built them.
+
+    Raises the constructor's ValueError at the first offender in row-major
+    order: a range error before a repeated edge at the same entry.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("need at least one variable node")
+    rows = tuple(tuple(int(i) for i in row) for row in check_nbrs)
+    if not rows:
+        raise ValueError("need at least one check node")
+    var_nbrs = [[] for _ in range(n)]
+    seen = set()
+    for j, row in enumerate(rows):
+        for i in row:
+            if not 0 <= i < n:
+                raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate edge between variable {i} and check {j}")
+            seen.add((i, j))
+    for j, row in enumerate(rows):
+        for i in row:
+            var_nbrs[i].append(j)
+    return rows, tuple(tuple(r) for r in var_nbrs)
+
+
+def generate_regular_by_unique(n, d_v, d_c, seed, retry_cap):
+    """Check rows of ``generate_regular``: the same permutation per attempt,
+    rejected when ``np.unique`` finds a repeated (variable, check) pair, with
+    rows filled stub by stub. Raises the same errors."""
+    from lpldpc import GenerationError
+
+    n, d_v, d_c = int(n), int(d_v), int(d_c)
+    if d_v < 1 or d_c < 2:
+        raise ValueError("need d_v >= 1 and d_c >= 2")
+    if (n * d_v) % d_c != 0:
+        raise ValueError(f"n*d_v = {n * d_v} is not divisible by d_c = {d_c}")
+    m = n * d_v // d_c
+    if d_v > m or d_c > n:
+        raise GenerationError(
+            f"no simple graph exists: degrees ({d_v}, {d_c}) exceed the opposite side ({m}, {n})"
+        )
+    rng = np.random.default_rng(seed)
+    var_of = np.repeat(np.arange(n, dtype=np.int64), d_v)
+    check_stub = np.repeat(np.arange(m, dtype=np.int64), d_c)
+    for _ in range(retry_cap):
+        check_of = check_stub[rng.permutation(n * d_v)]
+        if np.unique(var_of * m + check_of).size == n * d_v:
+            rows = [[] for _ in range(m)]
+            for i, j in zip(var_of.tolist(), check_of.tolist()):
+                rows[j].append(i)
+            return tuple(tuple(sorted(r)) for r in rows)
+    raise GenerationError(
+        f"no simple ({d_v}, {d_c})-regular graph found in {retry_cap} resamples (n={n}, m={m})"
+    )
+
+
+def bfs_tiers_by_queue(g, root):
+    """(var_tier, check_tier, num_tiers) by a node-at-a-time queue BFS over
+    the tuple views; raises DisconnectedGraphError like ``bfs_tiers``."""
+    from lpldpc import DisconnectedGraphError
+
+    var_tier = np.full(g.n, -1, dtype=np.int64)
+    check_tier = np.full(g.m, -1, dtype=np.int64)
+    var_tier[root] = 0
+    queue = deque([(root, True)])
+    while queue:
+        node, is_var = queue.popleft()
+        if is_var:
+            for j in g.var_nbrs[node]:
+                if check_tier[j] < 0:
+                    check_tier[j] = var_tier[node] + 1
+                    queue.append((j, False))
+        else:
+            for i in g.check_nbrs[node]:
+                if var_tier[i] < 0:
+                    var_tier[i] = check_tier[node] + 1
+                    queue.append((i, True))
+    if (var_tier < 0).any() or (check_tier < 0).any():
+        raise DisconnectedGraphError(
+            np.flatnonzero(var_tier < 0).tolist(), np.flatnonzero(check_tier < 0).tolist()
+        )
+    return var_tier, check_tier, int(max(var_tier.max(), check_tier.max()))

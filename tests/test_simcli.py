@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -142,6 +143,39 @@ def test_run_pseudo_scan_rows_respect_bound():
         assert row.pseudoweight <= row.n
         assert 0 < row.alpha <= 1.0
         assert row.bound == pseudoweight_bound(row.dv, row.dc, row.n).bound
+
+
+def test_run_pseudo_scan_calls_tanner_through_module_names(monkeypatch):
+    # The benchmark tracer wraps these names in every lpldpc module that
+    # holds them; a trial must reach the graph layer through them.
+    from lpldpc import pseudo, simcli
+
+    calls = collections.Counter()
+
+    def count(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[f"{mod.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    count(simcli, "generate_regular")
+    count(simcli, "bfs_tiers")
+    count(pseudo, "bfs_tiers")
+    cfg = ExperimentConfig.from_json({
+        "mode": "pseudo-scan",
+        "trials": 1,
+        "seed": 5,
+        "scan": {"n_values": [16, 32], "dv": 3, "dc": 4,
+                 "graphs_per_n": 2, "roots_per_graph": 1},
+    })
+    rows = run_pseudo_scan(cfg)
+    assert len(rows) == 4
+    # one graph, one connectivity BFS and one tier BFS per trial
+    assert calls == {"lpldpc.simcli.generate_regular": 4, "lpldpc.simcli.bfs_tiers": 4,
+                     "lpldpc.pseudo.bfs_tiers": 4}
 
 
 def test_run_pseudo_scan_growth_rate():

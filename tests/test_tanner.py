@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpldpc import (
     AlistError,
@@ -13,7 +17,15 @@ from lpldpc import (
     parse_alist,
 )
 
-from oracles import floyd_warshall_distances
+from lpldpc import tanner
+
+from conftest import irregular_graphs
+from oracles import (
+    bfs_tiers_by_queue,
+    floyd_warshall_distances,
+    generate_regular_by_unique,
+    tanner_views_by_loops,
+)
 
 SINGLE_CHECK_ALIST = """\
 3 1
@@ -117,6 +129,24 @@ def test_parse_inconsistent_views():
 1 2 3
 """
     with pytest.raises(AlistError):
+        parse_alist(bad)
+
+
+def test_parse_blocks_disagree():
+    # both blocks are well formed, but the variable block puts v0 at c0
+    # and v2 at c1 while the check block lists c0 = {v1, v2}, c1 = {v0}
+    bad = """\
+3 2
+1 2
+1 1 1
+2 1
+1
+1
+2
+2 3
+1
+"""
+    with pytest.raises(AlistError, match="disagree"):
         parse_alist(bad)
 
 
@@ -226,3 +256,122 @@ def test_graph_is_immutable_value():
     g = generate_regular(8, 3, 4, seed=1)
     assert isinstance(g.check_nbrs, tuple)
     assert hash(g) == hash(generate_regular(8, 3, 4, seed=1))
+
+
+def _outcome(fn, *errors):
+    try:
+        return "ok", fn()
+    except errors as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _csr_views(g):
+    """The tuple views rebuilt from the CSR index arrays."""
+    def rows(indptr, indices):
+        return tuple(tuple(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:]))
+    return rows(g.check_indptr, g.check_indices), rows(g.var_indptr, g.var_indices)
+
+
+@st.composite
+def _raw_graphs(draw):
+    """(n, rows) with mostly valid indices, some out of range or beyond int64."""
+    n = draw(st.integers(-1, 7))
+    index = st.one_of(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                      st.integers(-2, n + 2), st.sampled_from([2**63, -2**63 - 1, 2**70]))
+    rows = draw(st.lists(st.lists(index, max_size=min(6, max(n, 1)), unique=draw(st.booleans())),
+                         max_size=5))
+    return n, rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(raw=_raw_graphs())
+@example(raw=(3, [[0, 1, 0, 5]]))  # repeated edge before a range error
+@example(raw=(3, [[1, 7, 1]]))  # range error before a repeated edge
+@example(raw=(3, [[1, 2], [2, -1, 2, 1]]))
+def test_constructor_matches_per_edge_loops(raw):
+    n, rows = raw
+    want = _outcome(lambda: tanner_views_by_loops(n, rows), ValueError)
+    got = _outcome(lambda: TannerGraph(n, rows), ValueError)
+    if want[0] != "ok":
+        assert got == want
+        return
+    g = got[1]
+    assert (g.check_nbrs, g.var_nbrs) == want[1]
+    assert _csr_views(g) == want[1]
+    assert g.check_degrees.tolist() == [len(r) for r in want[1][0]]
+    assert g.var_degrees.tolist() == [len(r) for r in want[1][1]]
+    assert g.edges() == tuple((i, j) for i in range(g.n) for j in want[1][1][i])
+
+
+def test_csr_arrays_are_read_only():
+    g = generate_regular(8, 3, 4, seed=1)
+    for arr in (g.check_indptr, g.check_indices, g.var_indptr, g.var_indices):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    degs = g.check_degrees
+    degs[0] = 99  # a fresh array each time
+    assert (g.check_degrees == 4).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    d_v=st.integers(1, 5), d_c=st.integers(2, 9), k=st.integers(1, 10),
+    skew=st.sampled_from([0] * 7 + [1]), seed=st.integers(0, 2**32 - 1),
+    cap=st.sampled_from([1, 40]),
+)
+@example(d_v=0, d_c=4, k=1, skew=0, seed=0, cap=40)
+@example(d_v=3, d_c=1, k=1, skew=0, seed=0, cap=40)
+@example(d_v=3, d_c=4, k=64, skew=0, seed=3, cap=40)  # n = 256
+@example(d_v=3, d_c=9, k=4, skew=0, seed=0, cap=40)  # n = 36: high d_c, fails
+def test_generate_regular_matches_unique_oracle(d_v, d_c, k, skew, seed, cap):
+    # n is a multiple of d_c / gcd(d_v, d_c) unless skewed; small n with
+    # large d_c exhausts the shortened retry cap, so failures are compared too
+    n = k * d_c // math.gcd(max(d_v, 1), d_c) + skew
+    errors = (ValueError, GenerationError)
+    want = _outcome(lambda: generate_regular_by_unique(n, d_v, d_c, seed, cap), *errors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "RETRY_CAP", cap)
+        got = _outcome(lambda: generate_regular(n, d_v, d_c, seed), *errors)
+    if got[0] == "ok":
+        assert got[1].n == n
+        got = "ok", got[1].check_nbrs
+    assert got == want
+
+
+def test_generate_regular_failure_matches_oracle_at_full_cap():
+    want = _outcome(lambda: generate_regular_by_unique(44, 3, 11, 0, tanner.RETRY_CAP),
+                    GenerationError)
+    assert want[0] == "GenerationError"
+    assert _outcome(lambda: generate_regular(44, 3, 11, 0), GenerationError) == want
+
+
+def _tiers(g, root):
+    t = bfs_tiers(g, root)
+    assert t.root == root
+    return t.var_tier, t.check_tier, t.num_tiers
+
+
+def _bfs_outcome(fn):
+    try:
+        var_tier, check_tier, num_tiers = fn()
+    except DisconnectedGraphError as exc:
+        return "disconnected", exc.unreachable_vars, exc.unreachable_checks, str(exc)
+    assert var_tier.dtype == check_tier.dtype == np.int64
+    return "ok", var_tier.tolist(), check_tier.tolist(), num_tiers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=irregular_graphs(max_degree=6))
+def test_bfs_tiers_matches_queue_oracle(g):
+    # degree-0 and -1 checks and disconnected graphs included; every root
+    for root in range(g.n):
+        assert _bfs_outcome(lambda: _tiers(g, root)) == \
+            _bfs_outcome(lambda: bfs_tiers_by_queue(g, root))
+
+
+@pytest.mark.parametrize("n, d_v, d_c", [(256, 3, 4), (96, 3, 6), (60, 4, 5)])
+def test_bfs_tiers_matches_queue_oracle_on_regular_graphs(n, d_v, d_c):
+    g = generate_regular(n, d_v, d_c, seed=3)
+    for root in (0, 1, n // 2, n - 1):
+        assert _bfs_outcome(lambda: _tiers(g, root)) == \
+            _bfs_outcome(lambda: bfs_tiers_by_queue(g, root))

@@ -363,6 +363,15 @@ def test_witness_search_matches_pairwise_lp(data):
     assert verdict.margin >= s_star - 1e-9
 
 
+def test_witness_sign_with_degree_one_check_and_negative_llrs():
+    # check 0 = {v0} forces x0 = 0 and makes tau_00 = -mu unbounded below,
+    # so a witness exists although every LLR is negative
+    g = TannerGraph(2, [[0], [0, 1]])
+    lamp = np.array([-1.0, -0.5])
+    assert witness_search(g, lamp) > 0
+    assert lp_decode(g, lamp).is_zero_codeword()
+
+
 def test_chernoff_budget_hits_quarter_sigma():
     # with target = Q(2), the boundary sits exactly at sigma = 1/4
     p = derive_params(1.0, 25, delta_hat=0.93)  # gamma = 2/3
