@@ -135,13 +135,18 @@ class DecodeOutcome:
     ``status`` is ``integral`` (vertex rounds to a codeword), ``fractional``
     (vertex has a non-binary coordinate), or ``tie`` (a second optimal vertex
     with different support exists; counted as a failure). ``objective`` is
-    the signal-domain correlation at the optimum.
+    the signal-domain correlation at the optimum. ``stats`` explains how the
+    outcome was reached and is never written to CSVs: ``uniqueness`` is
+    ``certified`` (read from the final tableau) or ``probed`` (the face
+    probe ran), with the pivot counts ``main_pivots`` and ``probe_pivots``
+    (0 when certified).
     """
 
     status: str
     vertex: np.ndarray
     objective: float
     codeword: np.ndarray | None = None
+    stats: dict | None = None
 
     @property
     def is_integral(self):
@@ -161,7 +166,16 @@ def lp_decode(g, lamp):
 
     The objective is max-normalized before solving, which makes the pivot
     path (hence the outcome) invariant under positive scaling of the input.
-    After the first solve, a second solve over the optimal face maximizes
+    Whether the optimum is unique is then settled in one of two ways.
+
+    Certified: the main solve's sharpness bound (``simplex.LpSolution``)
+    puts every feasible point within TIE_FACE_EPS of the optimal value
+    inside TIE_FACE_EPS / sharpness of the vertex in every coordinate. When
+    TIE_FACE_EPS <= INTEGRALITY_TOL * sharpness, the face probe below could
+    not move beyond the integrality tolerance in exact arithmetic, so it is
+    skipped and the optimum is unique.
+
+    Probed: otherwise a second solve over the optimal face maximizes
     distance from the found vertex; if it moves beyond the integrality
     tolerance, a second optimum exists (values match far inside TIE_TOL) and
     the instance is classified as a tie. The face carries only a 1e-12
@@ -181,21 +195,24 @@ def lp_decode(g, lamp):
     sol = simplex.solve(cn, cons.a, cons.b, sense="min")
     x1 = sol.x
     objective = float(lamp.sum() - 2.0 * (lamp @ x1))
+    stats = {"uniqueness": "certified", "main_pivots": sol.iterations, "probe_pivots": 0}
 
-    away = np.where(x1 >= 0.5, 1.0, -1.0)
-    a2 = np.vstack([cons.a, cn])
-    b2 = np.append(cons.b, cn @ x1 + TIE_FACE_EPS)
-    sol2 = simplex.solve(away, a2, b2, sense="min")
-    if np.abs(sol2.x - x1).max() > INTEGRALITY_TOL:
-        return DecodeOutcome(status="tie", vertex=x1, objective=objective)
+    if TIE_FACE_EPS > INTEGRALITY_TOL * sol.sharpness:
+        away = np.where(x1 >= 0.5, 1.0, -1.0)
+        a2 = np.vstack([cons.a, cn])
+        b2 = np.append(cons.b, cn @ x1 + TIE_FACE_EPS)
+        sol2 = simplex.solve(away, a2, b2, sense="min")
+        stats.update(uniqueness="probed", probe_pivots=sol2.iterations)
+        if np.abs(sol2.x - x1).max() > INTEGRALITY_TOL:
+            return DecodeOutcome(status="tie", vertex=x1, objective=objective, stats=stats)
 
     rounded = np.rint(x1)
     if np.abs(x1 - rounded).max() <= INTEGRALITY_TOL and _parity_ok(g, rounded):
         return DecodeOutcome(
             status="integral", vertex=x1, objective=objective,
-            codeword=rounded.astype(np.uint8),
+            codeword=rounded.astype(np.uint8), stats=stats,
         )
-    return DecodeOutcome(status="fractional", vertex=x1, objective=objective)
+    return DecodeOutcome(status="fractional", vertex=x1, objective=objective, stats=stats)
 
 
 def _codeword_chunks(g, chunk_bits=16):

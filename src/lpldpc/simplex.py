@@ -11,10 +11,23 @@ no other entry can change. Each updated entry gets the same arithmetic as a
 full rank-one update, so the pivot sequence, bases and solutions are those
 of the full update (a zero may keep its sign where the full update would
 flip it).
+
+Each solution carries a sharpness bound read from the final tableau:
+sharpness = r_min / max(1, max|T_N|), where r_min is the smallest reduced
+cost over the nonbasic columns of the phase-2 objective row and T_N the
+final constraint rows restricted to those columns (0 when r_min <= 0).
+Along the nonbasic coordinates the objective rises by at least
+r_min * sum(x_N), and each basic coordinate moves by at most
+max|T_N| * sum(x_N). So any feasible x, slacks included, with
+c.x <= c.x* + eps lies within eps / sharpness of x* in every coordinate;
+sharpness > 0 certifies that the optimum is unique (Mangasarian,
+"Uniqueness of solution in linear programming", Linear Algebra Appl. 25,
+1979).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +70,7 @@ class LpSolution:
     value: float
     basis: np.ndarray
     iterations: int
+    sharpness: float
 
 
 def _pivot(tab, basis, row, col):
@@ -160,13 +174,31 @@ def _solve_min(c, a, b, max_iter, tol):
     full = np.zeros(n + m)
     full[basis[:rows]] = tab[:rows, -1]
     x = full[:n].copy()
-    return LpSolution(x=x, value=float(c @ x), basis=basis.copy(), iterations=iters)
+    return LpSolution(x=x, value=float(c @ x), basis=basis.copy(), iterations=iters,
+                      sharpness=_sharpness(tab, basis))
+
+
+def _sharpness(tab, basis):
+    """r_min / max(1, max|T_N|) over the nonbasic columns; 0 unless r_min > 0.
+
+    With no nonbasic column (no structural variables) it is inf.
+    """
+    nonbasic = np.ones(tab.shape[1] - 1, dtype=bool)
+    nonbasic[basis] = False
+    cols = np.flatnonzero(nonbasic)
+    r_min = tab[-1, cols].min(initial=np.inf)
+    if not r_min > 0:
+        return 0.0
+    return float(r_min / max(1.0, np.abs(tab[:-1, cols]).max(initial=0.0)))
 
 
 def solve(c, a, b, sense="min", max_iter=MAX_ITER, tol=PIVOT_TOL):
     """Optimize c.x over {A x <= b, x >= 0}.
 
-    Returns an LpSolution whose ``x`` is an optimal basic feasible solution.
+    Returns an LpSolution whose ``x`` is an optimal basic feasible solution
+    and whose ``sharpness`` bounds the optimal face (see the module
+    docstring): every feasible x within eps of the optimal value lies within
+    eps / sharpness of ``x`` in every coordinate.
     Raises UnboundedError / InfeasibleError / IterationLimitError rather than
     ever returning a suboptimal point.
     """
@@ -184,5 +216,5 @@ def solve(c, a, b, sense="min", max_iter=MAX_ITER, tol=PIVOT_TOL):
         return _solve_min(c, a, b, max_iter, tol)
     if sense == "max":
         sol = _solve_min(-c, a, b, max_iter, tol)
-        return LpSolution(x=sol.x, value=float(c @ sol.x), basis=sol.basis, iterations=sol.iterations)
+        return dataclasses.replace(sol, value=float(c @ sol.x))
     raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")

@@ -384,13 +384,13 @@ def witness_search(g, lamp):
     one mu per edge and s split into positive parts. s* > 0 certifies a
     strictly feasible assignment exists; s* <= 0 certifies none does.
 
-    The row s <= max|llr| stays. When every check has degree >= 2, its
-    weights sum to (d - 2) M_j >= 0, so summing the variable rows bounds s
-    by the mean LLR and the cap is inactive. At a degree-1 check tau is -mu,
-    unbounded below, and without the cap s can be unbounded too; then s*
-    equals the cap. Any positive cap gives such an LP the right sign, and
-    max|llr| is positive unless every LLR is 0; max(llr) would give the
-    wrong sign whenever every LLR is negative.
+    The cap row s <= max|llr| (1 when every LLR is 0) stays. When every
+    check has degree >= 2, its weights sum to (d - 2) M_j >= 0, so summing
+    the variable rows bounds s by the mean LLR and the cap is inactive. At a
+    degree-1 check tau is -mu, unbounded below, and without the cap s can be
+    unbounded too; then s* equals the cap. Only a positive cap gives such an
+    LP the right sign: max(llr) would be wrong whenever every LLR is
+    negative, and max|llr| alone whenever every LLR is 0.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
@@ -409,7 +409,8 @@ def witness_search(g, lamp):
     a[edge_var, np.arange(ne)] = -1.0
     a[:, ne] = 1.0
     a[:, ne + 1] = -1.0
-    b = np.append(lamp, np.abs(lamp).max())
+    cap = np.abs(lamp).max()
+    b = np.append(lamp, cap if cap > 0 else 1.0)
     c = np.zeros(ne + 2)
     c[ne] = 1.0
     c[ne + 1] = -1.0

@@ -13,7 +13,9 @@ witness LP is also built entry by entry to pin its vectorized assembly.
 The per-check scaling loop is the one the vectorized scaling replaced, kept
 as its reference, and so are the Tanner graph layer's per-edge constructor,
 its queue BFS and its rejection sampler with ``np.unique``, which the array
-versions must match exactly.
+versions must match exactly. The always-probe decoder is ``lp_decode``
+before it read uniqueness from the final tableau; the certified decoder
+must return the same outcome.
 """
 
 import contextlib
@@ -207,7 +209,7 @@ def witness_lp_by_loops(g, lamp):
 
     Columns: mu per edge in ``g.edges()`` order, then s+ and s-. Rows: one
     per variable, sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i, then the
-    cap s <= max|llr|.
+    cap s <= max|llr| (1 when every LLR is 0).
     """
     edges = g.edges()
     ne = len(edges)
@@ -224,7 +226,7 @@ def witness_lp_by_loops(g, lamp):
         a[r, ne + 1] = -1.0
     b = np.zeros(g.n + 1)
     b[:g.n] = lamp
-    b[g.n] = np.abs(lamp).max()
+    b[g.n] = np.abs(lamp).max() or 1.0
     c = np.zeros(ne + 2)
     c[ne] = 1.0
     c[ne + 1] = -1.0
@@ -236,9 +238,9 @@ def pairwise_witness_lp_by_loops(g, lamp):
 
     Columns: tau+ per edge, tau- per edge, then s+ and s-. Rows:
     tau_ij + tau_i'j >= 0 for every pair at a check, then
-    sum_j tau_ij + s <= llr_i per variable and the cap s <= max|llr|. This
-    is the direct form of the witness conditions, the reference optimum for
-    ``witness_search``'s cone-generator LP.
+    sum_j tau_ij + s <= llr_i per variable and the cap s <= max|llr| (1 when
+    every LLR is 0). This is the direct form of the witness conditions, the
+    reference optimum for ``witness_search``'s cone-generator LP.
     """
     edges = g.edges()
     ne = len(edges)
@@ -265,7 +267,7 @@ def pairwise_witness_lp_by_loops(g, lamp):
         r += 1
     a[r, sp] = 1.0
     a[r, sm] = -1.0
-    b[r] = np.abs(lamp).max()
+    b[r] = np.abs(lamp).max() or 1.0
     c = np.zeros(2 * ne + 2)
     c[sp] = 1.0
     c[sm] = -1.0
@@ -356,3 +358,30 @@ def bfs_tiers_by_queue(g, root):
             np.flatnonzero(var_tier < 0).tolist(), np.flatnonzero(check_tier < 0).tolist()
         )
     return var_tier, check_tier, int(max(var_tier.max(), check_tier.max()))
+
+
+def lp_decode_always_probe(g, lamp):
+    """``lp_decode`` as it was before the sharpness certificate: the face
+    probe runs on every decode. Returns a DecodeOutcome without stats."""
+    from lpldpc import simplex
+    from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS, DecodeOutcome, build_constraints
+
+    lamp = np.asarray(lamp, dtype=float)
+    cons = build_constraints(g)
+    scale = np.abs(lamp).max()
+    cn = lamp / scale if scale > 0 else lamp.copy()
+    x1 = simplex.solve(cn, cons.a, cons.b, sense="min").x
+    objective = float(lamp.sum() - 2.0 * (lamp @ x1))
+    away = np.where(x1 >= 0.5, 1.0, -1.0)
+    a2 = np.vstack([cons.a, cn])
+    b2 = np.append(cons.b, cn @ x1 + TIE_FACE_EPS)
+    x2 = simplex.solve(away, a2, b2, sense="min").x
+    if np.abs(x2 - x1).max() > INTEGRALITY_TOL:
+        return DecodeOutcome(status="tie", vertex=x1, objective=objective)
+    rounded = np.rint(x1)
+    h = g.parity_check_matrix().astype(np.int64)
+    if (np.abs(x1 - rounded).max() <= INTEGRALITY_TOL
+            and not ((h @ rounded.astype(np.int64)) % 2).any()):
+        return DecodeOutcome(status="integral", vertex=x1, objective=objective,
+                             codeword=rounded.astype(np.uint8))
+    return DecodeOutcome(status="fractional", vertex=x1, objective=objective)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpldpc import (
+    ChannelParams,
     MapSpec,
     TannerGraph,
     apply_map,
+    bpsk,
     build_constraints,
     enumerate_codewords,
     generate_regular,
@@ -16,11 +18,20 @@ from lpldpc import (
     lp_solve,
     membership,
     ml_decode,
+    normalized_llr,
+    transmit_awgn,
 )
 from lpldpc.gf2 import nullspace_basis, rank
+from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS
 
-from conftest import awgn_llr, irregular_graphs
-from oracles import best_vertex_value, membership_by_rows, vertices_by_bases, vertices_by_qhull
+from conftest import awgn_llr, irregular_graphs, recorded_solves
+from oracles import (
+    best_vertex_value,
+    lp_decode_always_probe,
+    membership_by_rows,
+    vertices_by_bases,
+    vertices_by_qhull,
+)
 
 
 def test_single_check_constraint_counts(single_check):
@@ -186,6 +197,92 @@ def test_lp_decode_detects_tie(single_check):
     out = lp_decode(single_check, np.array([-2.0, 1.0, 1.0]))
     assert out.status == "tie"
     assert out.objective == pytest.approx(2.0, abs=1e-9)
+
+
+def test_exact_tie_has_zero_sharpness(monkeypatch, single_check):
+    # 110 and 101 are both optimal: the main solve cannot certify uniqueness
+    outs = []
+    calls = recorded_solves(monkeypatch, lambda: outs.append(
+        lp_decode(single_check, np.array([-2.0, 1.0, 1.0]))))
+    (_, main), (_, probe) = calls
+    assert main.sharpness == 0.0
+    assert outs[0].stats == {"uniqueness": "probed", "main_pivots": main.iterations,
+                             "probe_pivots": probe.iterations}
+
+
+def _assert_same_as_always_probe(g, lamp):
+    got = lp_decode(g, lamp)
+    want = lp_decode_always_probe(g, lamp)
+    assert got.status == want.status
+    assert np.array_equal(got.vertex, want.vertex)
+    assert got.objective == want.objective
+    if want.codeword is not None:
+        assert np.array_equal(got.codeword, want.codeword)
+    assert got.stats["uniqueness"] in ("certified", "probed")
+    return got
+
+
+@pytest.mark.parametrize("g, lamp, status", [
+    (TannerGraph(3, [[0, 1, 2]]), [-2.0, 1.0, 1.0], "tie"),
+    (TannerGraph(3, [[0, 1, 2]]), [-1.0, 0.0, 0.0], "tie"),
+    (TannerGraph(3, [[0, 1, 2]]), [0.0, 0.0, 0.0], "tie"),
+    (TannerGraph(3, [[0, 1], [1, 2]]), [1.0, -2.0, 1.0], "tie"),
+    (TannerGraph(4, [[0, 1, 2, 3]]), [-1.0, -1.0, -1.0, 1.0], "tie"),
+    (TannerGraph(5, [[0, 1, 2], [2, 3, 4]]), [1.0, 1.0, -2.0, 1.0, 1.0], "tie"),
+    # Near ties: 110 beats 101 by d. The probe slides along the edge between
+    # them by up to 1e-12 / (d / 2), a tie beyond 1e-6. Sharpness is about
+    # d / 4, so only d = 2e-4 is certified.
+    (TannerGraph(3, [[0, 1, 2]]), [-2.0, 1.0, 1.0 + 2e-13], "tie"),
+    (TannerGraph(3, [[0, 1, 2]]), [-2.0, 1.0, 1.0 + 2e-8], "tie"),
+    (TannerGraph(3, [[0, 1, 2]]), [-2.0, 1.0, 1.0 + 2e-6], "integral"),
+    (TannerGraph(3, [[0, 1, 2]]), [-2.0, 1.0, 1.0 + 2e-4], "integral"),
+])
+def test_lp_decode_matches_always_probe_on_exact_and_near_ties(g, lamp, status):
+    assert _assert_same_as_always_probe(g, np.array(lamp)).status == status
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lp_decode_matches_always_probe(data):
+    # quantize2 and integer LLRs give degenerate optima and exact ties, where
+    # the certificate must fail and the probe must run
+    g = data.draw(irregular_graphs(max_degree=6))
+    spec = MapSpec.parse(data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        lam = rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n)
+    else:
+        lam = rng.integers(-2, 3, size=g.n).astype(float)
+    _assert_same_as_always_probe(g, spec.apply(lam))
+
+
+def _perfbench_unit_seed(seed, k):
+    """Master seed of the k-th ``run_wer`` call of a perfbench run."""
+    return int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("n, d_c, seed, sigma2, trial, pivots", [
+    # wer-n24 seed 1 unit 40 position 6, and seed 12 unit 7 position 0
+    # (trivial map; positions run over sigma2 (0.5, 0.8), then 4 trials)
+    (24, 4, _perfbench_unit_seed(1, 40), 0.8, 2, 40),
+    (24, 4, _perfbench_unit_seed(12, 7), 0.5, 0, 3),
+    # wer-n48 seed 1
+    (48, 6, 1, 0.5, 3, 159),
+    (48, 6, 1, 0.5, 5, 6),
+])
+def test_runaway_probe_decodes_are_certified(monkeypatch, n, d_c, seed, sigma2, trial, pivots):
+    # The face probe of these decodes cycled under Bland's rule and ran into
+    # IterationLimitError; the main solve certifies each optimum instead.
+    g = generate_regular(n, 3, d_c, seed=3)
+    params = ChannelParams(sigma2)
+    y = transmit_awgn(bpsk(np.zeros(n, dtype=np.uint8)), params, seed, trial)
+    lamp = normalized_llr(y, params)
+    outs = []
+    calls = recorded_solves(monkeypatch, lambda: outs.append(lp_decode(g, lamp)))
+    (_, main), = calls
+    assert main.iterations == pivots
+    assert TIE_FACE_EPS <= INTEGRALITY_TOL * main.sharpness
+    assert outs[0].stats == {"uniqueness": "certified", "main_pivots": pivots, "probe_pivots": 0}
 
 
 def test_lp_decode_integral_nonzero(single_check):

@@ -20,7 +20,9 @@ from lpldpc import (
     run_witness_rate,
 )
 
-from oracles import var_regular_graph
+from lpldpc import simcli
+
+from oracles import lp_decode_always_probe, var_regular_graph
 
 
 def wer_config(**overrides):
@@ -101,6 +103,20 @@ def test_run_wer_quantization_level_invariance():
     cfg = wer_config(maps=["quantize2:1", "quantize2:10"], sigma2=[0.8], trials=50)
     a, b = run_wer(cfg)
     assert (a.mismatch, a.fractional, a.tie) == (b.mismatch, b.fractional, b.tie)
+
+
+def test_run_wer_csv_matches_always_probe_decoder(tmp_path, monkeypatch):
+    # Skipping the probe on certified optima changes no tally, and the
+    # decode stats stay out of the CSV.
+    cfg = wer_config(graph={"n": 24, "dv": 3, "dc": 4, "seed": 3},
+                     maps=["trivial", "threshold:1.0", "quantize2:1"],
+                     sigma2=[0.5, 0.8], trials=20, seed=1)
+    results = run_wer(cfg)
+    assert sum(cell.tie for cell in results) > 0
+    emit_csv(results, tmp_path / "certified.csv")
+    monkeypatch.setattr(simcli, "lp_decode", lp_decode_always_probe)
+    emit_csv(run_wer(cfg), tmp_path / "probed.csv")
+    assert (tmp_path / "certified.csv").read_bytes() == (tmp_path / "probed.csv").read_bytes()
 
 
 def test_run_wer_is_deterministic_and_order_independent():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpldpc import MapSpec, generate_regular, lp_decode, simplex, witness_search
+from lpldpc.lpdec import TIE_FACE_EPS
 from lpldpc.simplex import (
     MAX_ITER,
     InfeasibleError,
@@ -39,6 +40,7 @@ def test_min_is_max_of_negated():
     lo = solve(c, a, b, sense="min")
     hi = solve(-c, a, b, sense="max")
     assert lo.value == pytest.approx(-hi.value, abs=1e-12)
+    assert lo.sharpness == hi.sharpness > 0
 
 
 def test_phase1_negative_rhs():
@@ -78,6 +80,14 @@ def test_beale_cycling_instance_terminates():
     c = np.array([-0.75, 150.0, -0.02, 6.0])
     sol = solve(c, a, b, sense="min")
     assert sol.value == pytest.approx(-0.05, abs=1e-12)
+
+
+def test_sharpness_is_zero_on_exact_ties_and_positive_on_unique_optima():
+    # min -x - y over x + y <= 1: the whole edge from (1, 0) to (0, 1) is optimal
+    a = np.array([[1.0, 1.0]])
+    assert solve(np.array([-1.0, -1.0]), a, np.array([1.0])).sharpness == 0.0
+    # min -2x - y: (1, 0) alone; reduced costs 1 (y) and 2 (slack), |T_N| <= 1
+    assert solve(np.array([-2.0, -1.0]), a, np.array([1.0])).sharpness == 1.0
 
 
 def test_iteration_cap_raises():
@@ -167,6 +177,7 @@ def _assert_same_path(got, want):
     # The in-place pivot may leave -0.0 where the dense update leaves +0.0.
     assert np.array_equal(got.x, want.x)
     assert got.value == want.value
+    assert got.sharpness == want.sharpness
 
 
 def _random_lp(kind, m, n, seed, negative_rhs, boxed):
@@ -236,6 +247,37 @@ def test_kernels_match_dense_reference_on_random_tableaus():
         assert got_basis.tolist() == want_basis.tolist()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "integer", "sparse"]),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    negative_rhs=st.booleans(),
+    boxed=st.booleans(),
+    eps=st.sampled_from([1e-12, 1e-3, 0.3]),
+)
+def test_face_probe_stays_within_sharpness_bound(kind, m, n, seed, negative_rhs, boxed, eps):
+    # Every feasible point within eps of the optimal value lies within
+    # eps / sharpness of the optimum in every coordinate, slacks included;
+    # probe the face {c.x <= c.x* + eps} in several directions.
+    c, a, b = _random_lp(kind, m, n, seed, negative_rhs, boxed)
+    try:
+        sol = solve(c, a, b)
+    except (InfeasibleError, UnboundedError):
+        return
+    if sol.sharpness == 0.0:
+        return
+    face_a, face_b = np.vstack([a, c]), np.append(b, c @ sol.x + eps)
+    bound = eps / sol.sharpness
+    rng = np.random.default_rng(seed)
+    away = np.where(sol.x >= 0.5, 1.0, -1.0)
+    for d in (away, -away, rng.choice([-1.0, 1.0], size=n), rng.normal(size=n)):
+        x = solve(d, face_a, face_b).x
+        moved = max(np.abs(x - sol.x).max(), np.abs(a @ (x - sol.x)).max())
+        assert moved <= bound + 1e-9 * (1.0 + np.abs(sol.x).max())
+
+
 @pytest.mark.parametrize("trial", [0, 1, 2])
 def test_pivot_path_pinned_on_witness_lp(monkeypatch, trial):
     g = var_regular_graph(18, 25, 200, seed=3)
@@ -254,8 +296,16 @@ def test_pivot_path_pinned_on_decoder_lps(monkeypatch, trial):
     g = generate_regular(24, 3, 4, seed=3)
     lamp = awgn_llr(g, 0.9, seed=5, trial=trial)
     calls = recorded_solves(monkeypatch, lambda: lp_decode(g, lamp))
-    assert len(calls) == 2  # main solve, then the tie probe
-    for args, got in calls:
-        with dense_simplex():
-            want = solve(*args)
-        _assert_same_path(got, want)
+    assert len(calls) == 1  # the main solve certifies a unique optimum
+    (args, got), = calls
+    with dense_simplex():
+        want = solve(*args)
+    _assert_same_path(got, want)
+    # The tie probe over the optimal face, built as lp_decode builds it
+    c, a, b, _ = args
+    away = np.where(got.x >= 0.5, 1.0, -1.0)
+    probe = (away, np.vstack([a, c]), np.append(b, c @ got.x + TIE_FACE_EPS), "min")
+    got = solve(*probe)
+    with dense_simplex():
+        want = solve(*probe)
+    _assert_same_path(got, want)

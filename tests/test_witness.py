@@ -372,6 +372,25 @@ def test_witness_sign_with_degree_one_check_and_negative_llrs():
     assert lp_decode(g, lamp).is_zero_codeword()
 
 
+def test_witness_sign_with_degree_one_check_and_zero_llrs():
+    # the polytope of TannerGraph(2, [[0], [0, 1]]) is the single point 0, so
+    # LP decoding succeeds even with no information; the cap is then 1
+    g = TannerGraph(2, [[0], [0, 1]])
+    lamp = np.zeros(2)
+    assert witness_search(g, lamp) > 0
+    assert lp_decode(g, lamp).is_zero_codeword()
+
+
+@pytest.mark.parametrize("g", [
+    TannerGraph(3, [[0, 1, 2]]),
+    TannerGraph(3, [[0, 1], [1, 2]]),
+    generate_regular(12, 3, 4, seed=11),
+])
+def test_witness_search_zero_llrs_without_degree_one_checks(g):
+    # checks of degree >= 2 bound s by the mean LLR: no witness when all are 0
+    assert witness_search(g, np.zeros(g.n)) == 0.0
+
+
 def test_chernoff_budget_hits_quarter_sigma():
     # with target = Q(2), the boundary sits exactly at sigma = 1/4
     p = derive_params(1.0, 25, delta_hat=0.93)  # gamma = 2/3
