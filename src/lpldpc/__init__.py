@@ -28,7 +28,6 @@ from .lpdec import (
     build_constraints,
     enumerate_codewords,
     lp_decode,
-    lp_solve,
     membership,
     ml_decode,
 )

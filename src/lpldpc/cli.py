@@ -81,12 +81,12 @@ def _cmd_witness(args):
     u = high_noise_set(lamp)
     print(f"s_star {s_star!r}")
     print("U " + (" ".join(str(i) for i in sorted(u)) or "(empty)"))
-    degrees = {len(r) for r in g.var_nbrs}
-    if len(degrees) != 1:
+    vd = g.var_degrees
+    if vd.min() != vd.max():
         print("proof parameters n/a (graph is not variable-regular)")
         return 0
     try:
-        params = derive_params(args.w, degrees.pop(), args.delta_hat)
+        params = derive_params(args.w, int(vd[0]), args.delta_hat)
     except ParameterError as exc:
         print(f"proof parameters n/a ({exc})")
         return 0

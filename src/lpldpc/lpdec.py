@@ -32,7 +32,6 @@ __all__ = [
     "PolytopeConstraints",
     "DecodeOutcome",
     "build_constraints",
-    "lp_solve",
     "lp_decode",
     "ml_decode",
     "membership",
@@ -66,20 +65,21 @@ def build_constraints(g):
     Cached per graph (graphs are immutable). Checks of degree above
     MAX_CHECK_DEGREE are rejected since the row count doubles per degree.
     """
-    degs = [len(row) for row in g.check_nbrs]
-    if max(degs) > MAX_CHECK_DEGREE:
+    degs = g.check_degrees
+    if degs.max() > MAX_CHECK_DEGREE:
         raise ValueError(
-            f"check degree {max(degs)} exceeds cap {MAX_CHECK_DEGREE}"
+            f"check degree {degs.max()} exceeds cap {MAX_CHECK_DEGREE}"
         )
-    total = g.n + sum(1 << (d - 1) for d in degs if d >= 1)
+    total = g.n + sum(1 << (d - 1) for d in degs.tolist() if d >= 1)
     a = np.zeros((total, g.n))
     b = np.zeros(total)
     row_check = np.full(total, -1, dtype=np.int64)
     a[np.arange(g.n), np.arange(g.n)] = 1.0
     b[:g.n] = 1.0
     r = g.n
-    for j, nbrs in enumerate(g.check_nbrs):
-        nbrs = sorted(nbrs)
+    ptr, flat = g.check_indptr.tolist(), g.check_indices.tolist()
+    for j in range(g.m):
+        nbrs = sorted(flat[ptr[j]:ptr[j + 1]])
         for size in range(1, len(nbrs) + 1, 2):
             for subset in itertools.combinations(nbrs, size):
                 a[r, nbrs] = -1.0
@@ -88,16 +88,6 @@ def build_constraints(g):
                 row_check[r] = j
                 r += 1
     return PolytopeConstraints(n=g.n, a=a, b=b, row_check=row_check)
-
-
-def lp_solve(cons, c, sense="max"):
-    """Optimize c.x over the polytope; returns (vertex, value).
-
-    Deterministic Bland pivoting, so tied optima always resolve to the same
-    vertex. Solver failures raise rather than return suboptimal points.
-    """
-    sol = simplex.solve(np.asarray(c, dtype=float), cons.a, cons.b, sense=sense)
-    return sol.x, sol.value
 
 
 def _odd_subset_gaps(g, w):

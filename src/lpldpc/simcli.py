@@ -328,10 +328,10 @@ def run_witness_rate(config):
     the matching cap also checks |U| + |boundary| <= alpha*n.
     """
     g = config.graph.load()
-    vd = {len(r) for r in g.var_nbrs}
-    if len(vd) != 1:
+    vd = g.var_degrees
+    if vd.min() != vd.max():
         raise ValueError("witness-rate needs a variable-regular graph")
-    d_v = vd.pop()
+    d_v = int(vd[0])
     proof = config.proof or ProofSpec()
     spec = config.maps[0]
     alpha_exp = None

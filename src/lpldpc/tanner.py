@@ -47,22 +47,25 @@ class DisconnectedGraphError(ValueError):
         super().__init__("graph is disconnected; unreachable nodes: " + ", ".join(names))
 
 
+def _rows(indptr, indices):
+    """CSR rows as a tuple of tuples."""
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
 class TannerGraph:
     """Immutable bipartite adjacency between n variable nodes and m check nodes.
 
-    ``check_nbrs[j]`` lists the variables incident to check j (the stored
-    order is the file/insertion order); ``var_nbrs[i]`` is the exact transpose
-    view with checks in ascending order of construction. Parallel edges are
-    rejected. Instances are safe to share across threads.
-
-    The same adjacency is kept as read-only CSR index arrays: check j's
-    variables are ``check_indices[check_indptr[j]:check_indptr[j + 1]]`` and
-    variable i's checks are ``var_indices[var_indptr[i]:var_indptr[i + 1]]``,
-    in the order of the tuple views.
+    The adjacency is stored once, as read-only CSR index arrays: check j's
+    variables are ``check_indices[check_indptr[j]:check_indptr[j + 1]]`` in
+    construction order, and variable i's checks are
+    ``var_indices[var_indptr[i]:var_indptr[i + 1]]`` in ascending order.
+    ``check_nbrs`` and ``var_nbrs`` are tuple views built from these arrays
+    on each access. Parallel edges are rejected. Instances are safe to share
+    across threads.
     """
 
-    __slots__ = ("n", "m", "check_nbrs", "var_nbrs",
-                 "check_indptr", "check_indices", "var_indptr", "var_indices")
+    __slots__ = ("n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices")
 
     def __init__(self, n, check_nbrs):
         n = int(n)
@@ -98,11 +101,8 @@ class TannerGraph:
             raise ValueError(f"duplicate edge between variable {i} and check {j}")
         var_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(var_of, minlength=n), out=var_indptr[1:])
-        checks, ptr = var_check.tolist(), var_indptr.tolist()
         self.n = n
         self.m = m
-        self.check_nbrs = rows
-        self.var_nbrs = tuple(tuple(checks[a:b]) for a, b in zip(ptr, ptr[1:]))
         self.check_indptr, self.check_indices = check_indptr, var_of
         self.var_indptr, self.var_indices = var_indptr, var_check
         for arr in (check_indptr, var_of, var_indptr, var_check):
@@ -111,13 +111,22 @@ class TannerGraph:
     def __eq__(self, other):
         if not isinstance(other, TannerGraph):
             return NotImplemented
-        return self.n == other.n and self.check_nbrs == other.check_nbrs
+        return (self.n == other.n and np.array_equal(self.check_indptr, other.check_indptr)
+                and np.array_equal(self.check_indices, other.check_indices))
 
     def __hash__(self):
-        return hash((self.n, self.check_nbrs))
+        return hash((self.n, self.check_indptr.tobytes(), self.check_indices.tobytes()))
 
     def __repr__(self):
         return f"TannerGraph(n={self.n}, m={self.m}, edges={self.num_edges})"
+
+    @property
+    def check_nbrs(self):
+        return _rows(self.check_indptr, self.check_indices)
+
+    @property
+    def var_nbrs(self):
+        return _rows(self.var_indptr, self.var_indices)
 
     @property
     def num_edges(self):
@@ -157,7 +166,10 @@ def parse_alist(text):
     adjacency blocks are cross-checked against each other.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise AlistError(f"non-ASCII byte at offset {exc.start}") from exc
     lines = []
     for raw in text.splitlines():
         parts = raw.split()
@@ -203,27 +215,27 @@ def parse_alist(text):
 
     var_lists = read_block(lines[4:4 + n], var_deg, m, "variable")
     check_lists = read_block(lines[4 + n:], check_deg, n, "check")
-    # Blocks already checked cannot fail the constructor; its transpose view
-    # lists each variable's checks in ascending order.
+    # Blocks already checked cannot fail the constructor; its transpose
+    # arrays list each variable's checks in ascending order.
     g = TannerGraph(n, check_lists)
-    if list(map(tuple, map(sorted, var_lists))) != list(g.var_nbrs):
+    if (g.var_degrees.tolist() != var_deg
+            or g.var_indices.tolist() != [j for row in var_lists for j in sorted(row)]):
         raise AlistError("variable and check adjacency blocks disagree")
     return g
 
 
 def emit_alist(g):
-    """Canonical alist text for a graph: zero-padded, 1-based, newline terminated."""
-    dv_max = int(g.var_degrees.max())
-    dc_max = int(g.check_degrees.max())
-    out = [f"{g.n} {g.m}", f"{dv_max} {dc_max}"]
-    out.append(" ".join(str(len(r)) for r in g.var_nbrs))
-    out.append(" ".join(str(len(r)) for r in g.check_nbrs))
-    for row in g.var_nbrs:
-        padded = [j + 1 for j in row] + [0] * (dv_max - len(row))
-        out.append(" ".join(str(e) for e in padded))
-    for row in g.check_nbrs:
-        padded = [i + 1 for i in row] + [0] * (dc_max - len(row))
-        out.append(" ".join(str(e) for e in padded))
+    """Canonical alist text for a graph: zero-padded, 1-based, newline terminated.
+
+    Every neighbor row has at least one entry, so a graph whose maximum
+    degree is 0 writes rows of a single padding 0, not blank lines.
+    """
+    vd, cd = g.var_degrees, g.check_degrees
+    out = [f"{g.n} {g.m}", f"{vd.max()} {cd.max()}",
+           " ".join(map(str, vd.tolist())), " ".join(map(str, cd.tolist()))]
+    for rows, width in ((g.var_nbrs, max(vd.max(), 1)), (g.check_nbrs, max(cd.max(), 1))):
+        for row in rows:
+            out.append(" ".join(map(str, [e + 1 for e in row] + [0] * (width - len(row)))))
     return "\n".join(out) + "\n"
 
 
@@ -316,5 +328,5 @@ def neighbor_set(g, variables):
     for i in variables:
         if not 0 <= i < g.n:
             raise ValueError(f"variable index {i} out of range [0, {g.n})")
-        out.update(g.var_nbrs[i])
+        out.update(g.var_indices[g.var_indptr[i]:g.var_indptr[i + 1]].tolist())
     return out

@@ -147,8 +147,13 @@ def high_noise_set(lamp):
 
 
 def _require_var_regular(g, d_v):
-    if any(len(r) != d_v for r in g.var_nbrs):
+    if (g.var_degrees != d_v).any():
         raise ValueError(f"graph must have uniform variable degree {d_v}")
+
+
+def _edge_vars(g):
+    """Variable of each edge, in ``g.edges()`` order."""
+    return np.repeat(np.arange(g.n), g.var_degrees)
 
 
 def boundary_set(g, u, params):
@@ -156,15 +161,10 @@ def boundary_set(g, u, params):
     (1 - delta') d_v checks."""
     _require_var_regular(g, params.d_v)
     nu = neighbor_set(g, u)
+    ptr, checks = g.var_indptr.tolist(), g.var_indices.tolist()
     threshold = params.d_v - params.delta_prime_dv  # (1 - delta') d_v, exact
-    out = set()
-    for i in range(g.n):
-        if i in u:
-            continue
-        overlap = sum(1 for j in g.var_nbrs[i] if j in nu)
-        if overlap > threshold:
-            out.add(i)
-    return frozenset(out)
+    return frozenset(i for i in range(g.n)
+                     if i not in u and len(nu.intersection(checks[ptr[i]:ptr[i + 1]])) > threshold)
 
 
 @dataclass(frozen=True)
@@ -189,10 +189,11 @@ def check_expansion(g, beta_exp, s_max):
     total = sum(math.comb(g.n, s) for s in range(1, s_max + 1))
     if total > EXPANSION_BUDGET:
         raise ValueError(f"{total} subsets exceed the enumeration budget {EXPANSION_BUDGET}")
+    ptr, checks = g.var_indptr.tolist(), g.var_indices.tolist()
     masks = []
-    for i in range(g.n):
+    for a, b in zip(ptr, ptr[1:]):
         bits = 0
-        for j in g.var_nbrs[i]:
+        for j in checks[a:b]:
             bits |= 1 << j
         masks.append(bits)
     checked = 0
@@ -221,98 +222,83 @@ class DeltaMatching:
 
 
 def _verify_matching(g, m_edges, u, udot, params):
-    per_check = {}
-    per_var = {}
-    for i, j in m_edges:
-        per_check[j] = per_check.get(j, 0) + 1
-        per_var[i] = per_var.get(i, 0) + 1
-        if j not in g.var_nbrs[i]:
-            return False
-    if any(c > 1 for c in per_check.values()):
+    edges = np.array(list(m_edges), dtype=np.int64).reshape(-1, 2)
+    var, check = edges[:, 0], edges[:, 1]
+    if ((var < 0) | (var >= g.n) | (check < 0) | (check >= g.m)).any():
         return False
-    if any(per_var.get(i, 0) < params.delta_dv for i in u):
+    if not np.isin(var * g.m + check, _edge_vars(g) * g.m + g.var_indices).all():
         return False
-    if any(per_var.get(i, 0) < params.delta_prime_dv for i in udot):
+    if (np.bincount(check, minlength=g.m) > 1).any():
         return False
-    return True
+    per_var = np.bincount(var, minlength=g.n)
+    return bool((per_var[list(u)] >= params.delta_dv).all()
+                and (per_var[list(udot)] >= params.delta_prime_dv).all())
 
 
 def find_delta_matching(g, u, udot, params):
-    """Search for a matching by integral max-flow; None when none exists.
+    """Search for a matching by augmenting paths; None when none exists.
 
-    Source feeds each high-noise variable delta*d_v units and each boundary
-    variable delta'*d_v, Tanner edges carry one unit, every check passes one
-    unit to the sink. The demands are met exactly iff the max flow saturates
-    the source, and integral capacities make the optimal flow integral. The
-    returned matching is re-verified against its three defining conditions.
+    Each high-noise variable needs delta*d_v checks and each boundary
+    variable delta'*d_v, and no check may serve two variables. Needs are met
+    one check at a time: a breadth-first search from the variable goes from
+    each variable to its checks, and from a held check to its holder, until
+    it reaches a free check; each variable on that path then moves to the
+    next check. This is augmenting-path max flow with the source and sink
+    left implicit. A variable that finds no path now finds none later
+    either, so the answer is None exactly when the needs cannot all be met.
+    The search keeps its own queue, so the path length is not bounded by
+    the recursion limit. The returned matching is re-verified against its
+    three defining conditions.
     """
     u = frozenset(u)
     udot = frozenset(udot)
     if u & udot:
         raise ValueError("high-noise and boundary sets must be disjoint")
-    need = {i: max(params.delta_dv, 0) for i in sorted(u)}
-    need.update({i: max(params.delta_prime_dv, 0) for i in sorted(udot)})
+    need = {i: max(params.delta_dv, 0) for i in u}
+    need.update({i: max(params.delta_prime_dv, 0) for i in udot})
     required = sum(need.values())
     if required == 0:
         return DeltaMatching(frozenset())
     if required > g.m:
         return None
 
-    parts = sorted(need)
-    src = 0
-    var_id = {i: 1 + a for a, i in enumerate(parts)}
-    check_id = {j: 1 + len(parts) + j for j in range(g.m)}
-    sink = 1 + len(parts) + g.m
-    cap = {node: {} for node in range(sink + 1)}
+    ptr, nbrs = g.var_indptr.tolist(), g.var_indices.tolist()
+    owner = [-1] * g.m  # variable holding each check
+    for root in sorted(need):
+        for _ in range(need[root]):
+            back = {root: (None, None)}  # variable -> (check it came through, previous variable)
+            queue = deque([root])
+            free = None
+            while queue and free is None:
+                v = queue.popleft()
+                for j in nbrs[ptr[v]:ptr[v + 1]]:
+                    w = owner[j]
+                    if w < 0:
+                        free = j
+                        break
+                    if w not in back:
+                        back[w] = (j, v)
+                        queue.append(w)
+            if free is None:
+                return None
+            j = free
+            while v is not None:
+                owner[j] = v
+                j, v = back[v]
 
-    def add_edge(a, b2, c):
-        cap[a][b2] = c
-        cap[b2].setdefault(a, 0)
-
-    for i in parts:
-        add_edge(src, var_id[i], need[i])
-        for j in g.var_nbrs[i]:
-            add_edge(var_id[i], check_id[j], 1)
-    for j in range(g.m):
-        add_edge(check_id[j], sink, 1)
-
-    flow = 0
-    while True:
-        parent = {src: None}
-        queue = deque([src])
-        while queue and sink not in parent:
-            node = queue.popleft()
-            for nxt, c in cap[node].items():
-                if c > 0 and nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        if sink not in parent:
-            break
-        path = [sink]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        push = min(cap[a][b2] for a, b2 in zip(path, path[1:]))
-        for a, b2 in zip(path, path[1:]):
-            cap[a][b2] -= push
-            cap[b2][a] += push
-        flow += push
-    if flow != required:
-        return None
-
-    edges = frozenset(
-        (i, j) for i in parts for j in g.var_nbrs[i] if cap[var_id[i]][check_id[j]] == 0
-    )
+    edges = frozenset((v, j) for j, v in enumerate(owner) if v >= 0)
     if not _verify_matching(g, edges, u, udot, params):
-        raise RuntimeError("max-flow produced an invalid matching")
+        raise RuntimeError("augmenting-path search produced an invalid matching")
     return DeltaMatching(edges)
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeWeights:
-    """Weights tau on exactly the edge set of a graph, keyed (variable, check)."""
+    """Weights tau on the edges of a graph: ``tau[k]`` is the weight of the
+    k-th edge of ``g.edges()`` (variable-major, checks ascending), the order
+    of the variable-side CSR arrays."""
 
-    tau: dict
+    tau: np.ndarray
 
 
 def weights_from_matching(g, matching, u, kappa, params):
@@ -324,13 +310,16 @@ def weights_from_matching(g, matching, u, kappa, params):
             f"kappa must lie strictly inside ({params.kappa_lo:.6g}, {params.kappa_hi:.6g})"
         )
     u = frozenset(u)
-    tau = {e: 0.0 for e in g.edges()}
-    for i, j in sorted(matching.edges):
+    # The high-noise variable matched to each check. A valid matching uses a
+    # check at most once, so the order of the edges does not matter.
+    holder = np.full(g.m, -1)
+    for i, j in matching.edges:
         if i in u:
-            tau[(i, j)] = -kappa
-            for i2 in g.check_nbrs[j]:
-                if i2 != i:
-                    tau[(i2, j)] = kappa
+            holder[j] = i
+    held = holder[g.var_indices]
+    tau = np.zeros(g.num_edges)
+    tau[held >= 0] = kappa
+    tau[held == _edge_vars(g)] = -kappa
     return EdgeWeights(tau)
 
 
@@ -346,24 +335,26 @@ def check_feasible(g, weights, lamp):
     """Verify both witness conditions; the margin is min_i (llr_i - sum tau).
 
     Pairwise sums at a check are non-negative iff its two smallest weights
-    sum to >= 0. The per-variable condition is strict, so the verdict passes
-    only when the margin is positive.
+    sum to >= 0; ``bad_check`` is the lowest check where they do not. The
+    per-variable condition is strict, so the verdict passes only when the
+    margin is positive. ``weights.tau`` must hold one weight per edge.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
-    tau = weights.tau
-    if set(tau) != set(g.edges()):
-        raise ValueError("weights must cover exactly the edge set of the graph")
-    bad = None
-    for j, nbrs in enumerate(g.check_nbrs):
-        if len(nbrs) < 2:
-            continue
-        w = sorted(tau[(i, j)] for i in nbrs)
-        if w[0] + w[1] < -1e-12:
-            bad = j
-            break
-    sums = np.array([sum(tau[(i, j)] for j in g.var_nbrs[i]) for i in range(g.n)])
+    tau = np.asarray(weights.tau, dtype=float)
+    if tau.shape != (g.num_edges,):
+        raise ValueError(
+            f"weights must cover exactly the edge set of the graph: "
+            f"{g.num_edges} weights, got shape {tau.shape}"
+        )
+    # sorted by check, then weight: check j's weights fill its CSR range
+    by_check = tau[np.lexsort((tau, g.var_indices))]
+    pairs = np.flatnonzero(g.check_degrees >= 2)
+    start = g.check_indptr[pairs]
+    bad_checks = pairs[by_check[start] + by_check[start + 1] < -1e-12]
+    bad = int(bad_checks[0]) if bad_checks.size else None
+    sums = np.bincount(_edge_vars(g), weights=tau, minlength=g.n)
     margin = float((lamp - sums).min())
     return FeasibilityVerdict(
         ok=bad is None and margin > 0.0, margin=margin,
@@ -398,7 +389,7 @@ def witness_search(g, lamp):
     if not np.isfinite(lamp).all():
         raise ValueError("LLR vector must be finite")
     # edges in g.edges() order: variable-major, checks ascending
-    edge_var, edge_check = np.repeat(np.arange(g.n), g.var_degrees), g.var_indices
+    edge_var, edge_check = _edge_vars(g), g.var_indices
     ne = edge_var.size
     h = np.zeros((g.m, g.n))
     h[edge_check, edge_var] = 1.0

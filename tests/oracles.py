@@ -15,7 +15,10 @@ as its reference, and so are the Tanner graph layer's per-edge constructor,
 its queue BFS and its rejection sampler with ``np.unique``, which the array
 versions must match exactly. The always-probe decoder is ``lp_decode``
 before it read uniqueness from the final tableau; the certified decoder
-must return the same outcome.
+must return the same outcome. The delta-matching verdict comes from
+Edmonds-Karp max flow on an explicit network with source and sink, rather
+than from augmenting paths on the Tanner graph, and the witness check from
+weights keyed by (variable, check) in a dict, rather than from edge arrays.
 """
 
 import contextlib
@@ -256,8 +259,9 @@ def pairwise_witness_lp_by_loops(g, lamp):
             a[r, [k1, k2]] = -1.0
             a[r, [ne + k1, ne + k2]] = 1.0
             r += 1
+    var_nbrs = g.var_nbrs
     for i in range(g.n):
-        for j in g.var_nbrs[i]:
+        for j in var_nbrs[i]:
             k = eidx[(i, j)]
             a[r, k] = 1.0
             a[r, ne + k] = -1.0
@@ -337,6 +341,7 @@ def bfs_tiers_by_queue(g, root):
     the tuple views; raises DisconnectedGraphError like ``bfs_tiers``."""
     from lpldpc import DisconnectedGraphError
 
+    var_nbrs, check_nbrs = g.var_nbrs, g.check_nbrs
     var_tier = np.full(g.n, -1, dtype=np.int64)
     check_tier = np.full(g.m, -1, dtype=np.int64)
     var_tier[root] = 0
@@ -344,12 +349,12 @@ def bfs_tiers_by_queue(g, root):
     while queue:
         node, is_var = queue.popleft()
         if is_var:
-            for j in g.var_nbrs[node]:
+            for j in var_nbrs[node]:
                 if check_tier[j] < 0:
                     check_tier[j] = var_tier[node] + 1
                     queue.append((j, False))
         else:
-            for i in g.check_nbrs[node]:
+            for i in check_nbrs[node]:
                 if var_tier[i] < 0:
                     var_tier[i] = check_tier[node] + 1
                     queue.append((i, True))
@@ -385,3 +390,87 @@ def lp_decode_always_probe(g, lamp):
         return DecodeOutcome(status="integral", vertex=x1, objective=objective,
                              codeword=rounded.astype(np.uint8))
     return DecodeOutcome(status="fractional", vertex=x1, objective=objective)
+
+
+def delta_matching_by_max_flow(g, u, udot, params):
+    """Edge set of a delta-matching, or None, by Edmonds-Karp integral max flow.
+
+    Source feeds each high-noise variable delta*d_v units and each boundary
+    variable delta'*d_v, Tanner edges carry one unit, every check passes one
+    unit to the sink. The demands are met exactly iff the max flow saturates
+    the source.
+    """
+    need = {i: max(params.delta_dv, 0) for i in sorted(u)}
+    need.update({i: max(params.delta_prime_dv, 0) for i in sorted(udot)})
+    required = sum(need.values())
+    if required == 0:
+        return frozenset()
+    if required > g.m:
+        return None
+
+    var_nbrs = g.var_nbrs
+    parts = sorted(need)
+    src = 0
+    var_id = {i: 1 + a for a, i in enumerate(parts)}
+    check_id = {j: 1 + len(parts) + j for j in range(g.m)}
+    sink = 1 + len(parts) + g.m
+    cap = {node: {} for node in range(sink + 1)}
+
+    def add_edge(a, b, c):
+        cap[a][b] = c
+        cap[b].setdefault(a, 0)
+
+    for i in parts:
+        add_edge(src, var_id[i], need[i])
+        for j in var_nbrs[i]:
+            add_edge(var_id[i], check_id[j], 1)
+    for j in range(g.m):
+        add_edge(check_id[j], sink, 1)
+
+    flow = 0
+    while True:
+        parent = {src: None}
+        queue = deque([src])
+        while queue and sink not in parent:
+            node = queue.popleft()
+            for nxt, c in cap[node].items():
+                if c > 0 and nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        if sink not in parent:
+            break
+        path = [sink]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        push = min(cap[a][b] for a, b in zip(path, path[1:]))
+        for a, b in zip(path, path[1:]):
+            cap[a][b] -= push
+            cap[b][a] += push
+        flow += push
+    if flow != required:
+        return None
+    return frozenset(
+        (i, j) for i in parts for j in var_nbrs[i] if cap[var_id[i]][check_id[j]] == 0
+    )
+
+
+def check_feasible_by_dicts(g, tau, lamp):
+    """(ok, margin, pairwise_ok, bad_check) of the witness conditions for
+    weights ``tau`` keyed by (variable, check), one check and one variable at
+    a time. Raises ValueError unless the keys are exactly the edge set."""
+    lamp = np.asarray(lamp, dtype=float)
+    if set(tau) != set(g.edges()):
+        raise ValueError("weights must cover exactly the edge set of the graph")
+    bad = None
+    for j, nbrs in enumerate(g.check_nbrs):
+        if len(nbrs) < 2:
+            continue
+        w = sorted(tau[(i, j)] for i in nbrs)
+        if w[0] + w[1] < -1e-12:
+            bad = j
+            break
+    var_nbrs = g.var_nbrs
+    sums = np.array([sum(tau[(i, j)] for j in var_nbrs[i]) for i in range(g.n)])
+    margin = float((lamp - sums).min())
+    return bad is None and margin > 0.0, margin, bad is None, bad

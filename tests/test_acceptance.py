@@ -27,11 +27,11 @@ from lpldpc import (
     generate_regular,
     high_noise_set,
     lp_decode,
-    lp_solve,
     membership,
     ml_decode,
     normalized_llr,
     pseudoweight_bound,
+    simplex,
     single_pcw_error_prob,
     transmit_awgn,
     weights_from_matching,
@@ -238,7 +238,7 @@ def test_criterion_8_small_polytope_oracle():
         vertices = vertices_by_qhull(cons)
         for sense in ("max", "min"):
             c = rng.normal(size=n)
-            _, value = lp_solve(cons, c, sense)
+            value = simplex.solve(c, cons.a, cons.b, sense=sense).value
             want = best_vertex_value(vertices, c, sense)
             assert abs(value - want) <= 1e-9, f"{sense}: {value} vs {want}"
         done += 1

@@ -15,10 +15,10 @@ from lpldpc import (
     enumerate_codewords,
     generate_regular,
     lp_decode,
-    lp_solve,
     membership,
     ml_decode,
     normalized_llr,
+    simplex,
     transmit_awgn,
 )
 from lpldpc.gf2 import nullspace_basis, rank
@@ -118,19 +118,19 @@ def test_membership_matches_row_oracle(data):
 
 def test_lp_solve_examples(single_check):
     cons = build_constraints(single_check)
-    v, value = lp_solve(cons, np.ones(3), "max")
-    assert value == pytest.approx(2.0, abs=1e-9)
-    assert sorted(np.round(v, 9).tolist()) in ([0.0, 1.0, 1.0],)
-    _, zero = lp_solve(cons, np.zeros(3), "max")
+    sol = simplex.solve(np.ones(3), cons.a, cons.b, sense="max")
+    assert sol.value == pytest.approx(2.0, abs=1e-9)
+    assert sorted(np.round(sol.x, 9).tolist()) in ([0.0, 1.0, 1.0],)
+    zero = simplex.solve(np.zeros(3), cons.a, cons.b, sense="max").value
     assert zero == 0.0
-    _, val = lp_solve(cons, np.array([1.0, -1.0, -1.0]), "max")
+    val = simplex.solve(np.array([1.0, -1.0, -1.0]), cons.a, cons.b, sense="max").value
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lp_solve_deterministic(single_check):
     cons = build_constraints(single_check)
-    a = lp_solve(cons, np.ones(3), "max")[0]
-    b = lp_solve(cons, np.ones(3), "max")[0]
+    a = simplex.solve(np.ones(3), cons.a, cons.b, sense="max").x
+    b = simplex.solve(np.ones(3), cons.a, cons.b, sense="max").x
     assert (a == b).all()
 
 
@@ -355,7 +355,7 @@ def test_lp_optimum_matches_qhull_vertices():
         g = _random_polytope_graph(rng)
         cons = build_constraints(g)
         c = rng.normal(size=g.n)
-        _, value = lp_solve(cons, c, "max")
+        value = simplex.solve(c, cons.a, cons.b, sense="max").value
         want = best_vertex_value(vertices_by_qhull(cons), c, "max")
         assert value == pytest.approx(want, abs=1e-9)
 

@@ -148,6 +148,21 @@ def test_parse_blocks_disagree():
 """
     with pytest.raises(AlistError, match="disagree"):
         parse_alist(bad)
+    # the concatenated variable rows agree (c0 | c1 c2 against c0 c1 | c2);
+    # only the per-variable degrees tell the blocks apart
+    bad = """\
+2 3
+2 1
+1 2
+1 1 1
+1
+2 3
+1
+1
+2
+"""
+    with pytest.raises(AlistError, match="disagree"):
+        parse_alist(bad)
 
 
 def test_constructor_rejects_duplicates_and_bad_indices():
@@ -256,6 +271,78 @@ def test_graph_is_immutable_value():
     g = generate_regular(8, 3, 4, seed=1)
     assert isinstance(g.check_nbrs, tuple)
     assert hash(g) == hash(generate_regular(8, 3, 4, seed=1))
+
+
+def test_graph_stores_only_csr_arrays():
+    g = generate_regular(8, 3, 4, seed=1)
+    assert set(TannerGraph.__slots__) == {
+        "n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices"}
+    with pytest.raises(AttributeError):
+        g.check_nbrs = ()
+    # equal graphs built apart hash alike; the check order matters
+    assert hash(TannerGraph(3, [[0, 1], [1, 2]])) == hash(TannerGraph(3, [(0, 1), (1, 2)]))
+    assert TannerGraph(3, [[0, 1], [1, 2]]) != TannerGraph(3, [[1, 2], [0, 1]])
+    assert TannerGraph(3, [[0, 1], [2]]) != TannerGraph(3, [[0], [1, 2]])
+
+
+def test_parse_rejects_non_ascii_bytes():
+    with pytest.raises(AlistError, match="non-ASCII"):
+        parse_alist(b"\xff\xfe")
+
+
+def test_emit_zero_degree_graph_round_trips():
+    # no edges: every neighbor row is a single padding 0, never a blank line
+    g = TannerGraph(2, [[]])
+    text = emit_alist(g)
+    assert text == "2 1\n0 0\n0 0\n0\n0\n0\n0\n"
+    assert parse_alist(text) == g
+
+
+def _same_arrays(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in
+               ("check_indptr", "check_indices", "var_indptr", "var_indices"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=irregular_graphs(max_degree=6))
+def test_parse_emit_round_trip_on_irregular_graphs(g):
+    # degree-0 checks and variables included
+    text = emit_alist(g)
+    for back in (parse_alist(text), parse_alist(text.encode())):
+        assert back == g and back.n == g.n and back.m == g.m
+        assert _same_arrays(back, g)
+    assert emit_alist(parse_alist(text)) == text
+
+
+@st.composite
+def _malformed_alist(draw):
+    """An alist file of a random graph with a few bytes flipped, inserted,
+    deleted or cut off."""
+    data = bytearray(emit_alist(draw(irregular_graphs(max_degree=6))).encode())
+    tokens = st.sampled_from([b"0", b"-1", b"7", b" ", b"\n", b"x", b"1.5", b"\xff",
+                              b"99999999999999999999999"])
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "cut"]))
+        if kind == "flip" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[pos:pos] = draw(tokens)
+        elif kind == "delete":
+            del data[pos:pos + draw(st.integers(1, 3))]
+        elif kind == "cut":
+            del data[pos:]
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.one_of(_malformed_alist(), st.binary(max_size=40)))
+def test_parse_malformed_bytes_raises_only_alist_error(data):
+    try:
+        g = parse_alist(data)
+    except AlistError:
+        return
+    assert parse_alist(emit_alist(g)) == g  # a mutation may leave a valid file
 
 
 def _outcome(fn, *errors):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from lpldpc import (
     witness_search,
 )
 from lpldpc import ChannelParams, EdgeWeights, normalized_llr, simplex, transmit_awgn
-from lpldpc.witness import ParameterError
+from lpldpc.witness import DEAD_BAND, ParameterError
 
 from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
+    check_feasible_by_dicts,
+    delta_matching_by_max_flow,
     pairwise_witness_lp_by_loops,
     q_tail,
     var_regular_graph,
@@ -48,6 +51,11 @@ def tiny_params(d_v, delta_dv, w=1.0):
         w=w, d_v=d_v, delta_hat=delta, delta=delta, delta_prime=2 * delta - 1,
         gamma=0.5, kappa_lo=0.0, kappa_hi=1.0, alpha_exp=None,
     )
+
+
+def _by_edge(g, weights):
+    """Edge weights keyed by (variable, check)."""
+    return dict(zip(g.edges(), weights.tau.tolist()))
 
 
 def test_derive_params_requires_dv_above_floor():
@@ -121,9 +129,10 @@ def test_boundary_set_hand_graph():
     u = frozenset({0})
     nu = neighbor_set(g, u)
     # independent set-intersection oracle
+    var_nbrs = g.var_nbrs
     expect = {
         i for i in range(6)
-        if i not in u and sum(1 for j in g.var_nbrs[i] if j in nu) > 0
+        if i not in u and sum(1 for j in var_nbrs[i] if j in nu) > 0
     }
     assert boundary_set(g, u, params) == frozenset(expect)
 
@@ -215,12 +224,70 @@ def test_matching_exists_on_verified_expanders():
     assert qualifying >= 12
 
 
+def _assert_matching_matches_oracle(g, u, udot, params):
+    got = find_delta_matching(g, u, udot, params)
+    want = delta_matching_by_max_flow(g, u, udot, params)
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    checks = [j for _, j in got.edges]
+    assert len(set(checks)) == len(checks)  # check-disjoint
+    assert got.edges <= set(g.edges())
+    need = {i: max(params.delta_dv, 0) for i in u}
+    need.update({i: max(params.delta_prime_dv, 0) for i in udot})
+    assert Counter(i for i, _ in got.edges) == Counter({i: k for i, k in need.items() if k})
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_matching_matches_max_flow_oracle_on_irregular_graphs(data):
+    # degree-0 and -1 checks, variables without checks, negative delta'
+    g = data.draw(irregular_graphs(max_degree=6))
+    d_v = data.draw(st.integers(1, 4))
+    params = tiny_params(d_v, data.draw(st.integers(1, d_v)))
+    nodes = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    cut = data.draw(st.integers(0, len(nodes)))
+    _assert_matching_matches_oracle(g, frozenset(nodes[:cut]), frozenset(nodes[cut:]), params)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_matching_matches_max_flow_oracle_on_var_regular_graphs(data):
+    # boundary sets from boundary_set, at toy and at proof-scale degrees
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if data.draw(st.booleans()):
+        g, params = var_regular_graph(18, 25, 200, seed), derive_params(1.0, 25)
+    else:
+        d_v = data.draw(st.integers(2, 6))
+        g = var_regular_graph(data.draw(st.integers(2, 14)), d_v,
+                              d_v + data.draw(st.integers(0, 12)), seed)
+        params = tiny_params(d_v, data.draw(st.integers((d_v + 1) // 2, d_v)))
+    u = frozenset(data.draw(st.lists(st.integers(0, g.n - 1), max_size=6)))
+    udot = boundary_set(g, u, params)
+    nu, var_nbrs = neighbor_set(g, u), g.var_nbrs
+    assert udot == {i for i in range(g.n) if i not in u
+                    and len(nu.intersection(var_nbrs[i])) > params.d_v - params.delta_prime_dv}
+    _assert_matching_matches_oracle(g, u, udot, params)
+
+
+def test_matching_augments_along_a_long_chain():
+    # v_k holds checks k and k + 1 (k < K), v_K only check 0. Taken in order,
+    # v_k takes check k, so v_K's unit shifts every v_k to check k + 1: one
+    # augmenting path through K + 1 checks, beyond the recursion limit.
+    k = 1600
+    g = TannerGraph(k + 1, [[0, k]] + [[j - 1, j] for j in range(1, k)] + [[k - 1]])
+    m = find_delta_matching(g, frozenset(range(k + 1)), frozenset(), tiny_params(2, 1))
+    assert m is not None
+    assert m.edges == frozenset([(k, 0)] + [(i, i + 1) for i in range(k)])
+
+
 def test_weights_from_empty_matching(g34_small):
     params = tiny_params(3, 2)
     m = find_delta_matching(g34_small, frozenset(), frozenset(), params)
     w = weights_from_matching(g34_small, m, frozenset(), 0.5, params)
-    assert set(w.tau) == set(g34_small.edges())
-    assert all(v == 0.0 for v in w.tau.values())
+    assert w.tau.shape == (len(g34_small.edges()),)
+    assert (w.tau == 0.0).all()
 
 
 def test_weights_single_matched_check():
@@ -230,8 +297,9 @@ def test_weights_single_matched_check():
     assert m is not None
     w = weights_from_matching(g, m, frozenset({0}), 0.25, params)
     (i, j), = m.edges
-    assert w.tau[(i, j)] == -0.25
-    others = [w.tau[(i2, j)] for i2 in g.check_nbrs[j] if i2 != i]
+    tau = _by_edge(g, w)
+    assert tau[(i, j)] == -0.25
+    others = [tau[(i2, j)] for i2 in g.check_nbrs[j] if i2 != i]
     assert all(v == 0.25 for v in others)
 
 
@@ -250,9 +318,9 @@ def test_weights_always_satisfy_pairwise(g34_small):
     m = find_delta_matching(g34_small, u, udot, params)
     if m is None:
         pytest.skip("no matching on this fixture")
-    w = weights_from_matching(g34_small, m, u, 0.5, params)
+    tau = _by_edge(g34_small, weights_from_matching(g34_small, m, u, 0.5, params))
     for j, nbrs in enumerate(g34_small.check_nbrs):
-        vals = sorted(w.tau[(i, j)] for i in nbrs)
+        vals = sorted(tau[(i, j)] for i in nbrs)
         assert vals[0] + vals[1] >= 0.0
 
 
@@ -270,10 +338,29 @@ def test_check_feasible_zero_weights(g34_small):
 
 
 def test_check_feasible_requires_full_edge_cover(g34_small):
-    from lpldpc import EdgeWeights
-
     with pytest.raises(ValueError, match="edge set"):
-        check_feasible(g34_small, EdgeWeights({(0, 0): 0.0}), np.ones(g34_small.n))
+        check_feasible(g34_small, EdgeWeights(np.zeros(1)), np.ones(g34_small.n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_check_feasible_matches_dict_oracle(data):
+    g = data.draw(irregular_graphs(max_degree=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["grid", "normal", "matching"]))
+    tau = rng.normal(size=g.num_edges)
+    if kind == "grid":  # ties, zero pair sums and sums at the tolerance
+        tau = rng.integers(-2, 3, size=g.num_edges) / 4.0
+    elif kind == "matching":
+        params = tiny_params(2, 1)
+        u = frozenset(np.flatnonzero(rng.random(g.n) < 0.4).tolist())
+        m = find_delta_matching(g, u, frozenset(), params)
+        if m is not None:
+            tau = weights_from_matching(g, m, u, 0.5, params).tau
+    lamp = rng.integers(-1, 4, size=g.n) / 2.0
+    got = check_feasible(g, EdgeWeights(tau), lamp)
+    want = check_feasible_by_dicts(g, dict(zip(g.edges(), tau.tolist())), lamp)
+    assert (got.ok, got.margin, got.pairwise_ok, got.bad_check) == want
 
 
 def test_constructive_weights_feasible_and_decode_succeeds():
@@ -357,10 +444,26 @@ def test_witness_search_matches_pairwise_lp(data):
     # margin s*, by the independent constructive checker
     mu = {e: sol.x[k] for k, e in enumerate(edges)}
     big_m = [sum(mu[(i, j)] for i in nbrs) for j, nbrs in enumerate(g.check_nbrs)]
-    tau = {(i, j): big_m[j] - 2.0 * mu[(i, j)] for i, j in edges}
+    tau = np.array([big_m[j] - 2.0 * mu[(i, j)] for i, j in edges])
     verdict = check_feasible(g, EdgeWeights(tau), lamp)
     assert verdict.pairwise_ok
     assert verdict.margin >= s_star - 1e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_witness_sign_matches_decoder_on_irregular_graphs(data):
+    # degree-0 and -1 checks included: both earlier wrong witness verdicts
+    # (a degree-1 check, all LLRs 0) were on such graphs
+    g = data.draw(irregular_graphs(max_degree=6))
+    spec = MapSpec.parse(data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"])))
+    lamp = np.zeros(g.n)
+    if not data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lamp = spec.apply(rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n))
+    s_star = witness_search(g, lamp)
+    if abs(s_star) > DEAD_BAND:
+        assert (s_star > 0) == lp_decode(g, lamp).is_zero_codeword()
 
 
 def test_witness_sign_with_degree_one_check_and_negative_llrs():
