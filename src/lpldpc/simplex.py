@@ -5,18 +5,22 @@ right-hand side get phase-1 artificials; the returned point is always a
 basic feasible solution, i.e. a vertex of the feasible region. Pivoting is
 fully deterministic.
 
-The tableau is dense, but a pivot updates it in place only at the rows where
-the pivot column is nonzero and the columns where the pivot row is nonzero:
-no other entry can change. Each updated entry gets the same arithmetic as a
-full rank-one update, so the pivot sequence, bases and solutions are those
-of the full update (a zero may keep its sign where the full update would
-flip it).
+The tableau is condensed: it keeps one column per nonbasic variable (plus
+the right-hand side) and none for the basic ones, whose columns are unit
+vectors. Variables carry labels (structurals 0..n-1, slacks n..n+m-1,
+artificials after them); ``basis`` holds the label basic in each row and
+``nonbasic`` the label of each column. A pivot is one dense Jordan
+exchange: the entering and leaving labels swap places, and every stored
+entry gets exactly the arithmetic of the full-tableau rank-one update.
+Bland's rule picks the lowest entering and leaving labels, so the pivot
+sequence, bases and solutions are those of the full tableau (a zero may
+differ in sign).
 
 Each solution carries a sharpness bound read from the final tableau:
 sharpness = r_min / max(1, max|T_N|), where r_min is the smallest reduced
-cost over the nonbasic columns of the phase-2 objective row and T_N the
-final constraint rows restricted to those columns (0 when r_min <= 0).
-Along the nonbasic coordinates the objective rises by at least
+cost in the phase-2 objective row and T_N the final constraint rows, both
+over the nonbasic columns, which are all the columns stored (0 when
+r_min <= 0). Along the nonbasic coordinates the objective rises by at least
 r_min * sum(x_N), and each basic coordinate moves by at most
 max|T_N| * sum(x_N). So any feasible x, slacks included, with
 c.x <= c.x* + eps lies within eps / sharpness of x* in every coordinate;
@@ -73,48 +77,47 @@ class LpSolution:
     sharpness: float
 
 
-def _pivot(tab, basis, row, col):
-    prow = tab[row]
-    prow /= prow[col]
-    rows = np.flatnonzero(tab[:, col])
-    rows = rows[rows != row]
-    cols = np.flatnonzero(prow)
-    # Flat indices of the rows x cols block; tab is C-contiguous, so the
-    # reshape is a view and the update lands in the tableau.
-    block = (rows * tab.shape[1])[:, None] + cols
-    tab.reshape(-1)[block] -= np.outer(tab[rows, col], prow[cols])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
+def _exchange(tab, basis, nonbasic, row, s):
+    """Jordan exchange: ``nonbasic[s]`` enters the basis at ``row`` and the
+    variable it replaces takes over column ``s``."""
+    p = tab[row, s]
+    prow = tab[row] / p
+    prow[s] = 1.0 / p
+    f = tab[:, s].copy()
+    f[row] = 0.0
+    tab[:, s] = 0.0
+    tab -= np.outer(f, prow)
+    tab[row] = prow
+    basis[row], nonbasic[s] = nonbasic[s], basis[row]
 
 
-def _set_objective(tab, basis, cost):
-    tab[-1, :-1] = cost
+def _set_objective(tab, basis, nonbasic, cost):
+    tab[-1, :-1] = cost[nonbasic]
     tab[-1, -1] = 0.0
     cb = cost[basis]
     for r in np.flatnonzero(cb):
         tab[-1] -= cb[r] * tab[r]
 
 
-def _pivot_loop(tab, basis, max_iter, tol, used):
+def _pivot_loop(tab, basis, nonbasic, max_iter, tol, used):
     """Run Bland pivots to optimality; returns total iteration count."""
     rows = tab.shape[0] - 1
     it = used
     while True:
-        red = tab[-1, :-1]
-        candidates = np.flatnonzero(red < -tol)
+        candidates = np.flatnonzero(tab[-1, :-1] < -tol)
         if candidates.size == 0:
             return it
-        col = int(candidates[0])  # Bland: lowest eligible column index enters
-        column = tab[:rows, col]
+        s = int(candidates[np.argmin(nonbasic[candidates])])  # Bland: lowest label enters
+        column = tab[:rows, s]
         pos = np.flatnonzero(column > tol)
         if pos.size == 0:
-            raise UnboundedError(f"objective unbounded along column {col}")
+            raise UnboundedError(f"objective unbounded along column {nonbasic[s]}")
         ratios = tab[pos, -1] / column[pos]
         rmin = ratios.min()
         ties = pos[ratios == rmin]
-        row = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index leaves
-        _pivot(tab, basis, row, col)
+        row = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic label leaves
+        col = int(nonbasic[s])
+        _exchange(tab, basis, nonbasic, row, s)
         it += 1
         if it > max_iter:
             raise IterationLimitError(
@@ -128,68 +131,55 @@ def _solve_min(c, a, b, max_iter, tol):
     flip = b < 0
     art_rows = np.flatnonzero(flip)
     nart = art_rows.size
-    ncols = n + m + nart
 
-    tab = np.zeros((m + 1, ncols + 1))
+    # Labels: structurals 0..n-1, slacks n..n+m-1, artificials from n+m.
+    # Nonbasic at the start: every structural and the slack of each flipped
+    # row; the other slacks and the artificials form the basis.
+    nonbasic = np.concatenate([np.arange(n), n + art_rows])
+    tab = np.zeros((m + 1, nonbasic.size + 1))
     tab[:m, :n] = a
     tab[art_rows, :n] = -a[art_rows]
-    tab[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
-    tab[art_rows, n + m + np.arange(nart)] = 1.0
+    tab[art_rows, n + np.arange(nart)] = -1.0
     tab[:m, -1] = np.where(flip, -b, b)
-    basis = (n + np.arange(m)).astype(np.int64)
+    basis = n + np.arange(m)
     basis[art_rows] = n + m + np.arange(nart)
 
     iters = 0
     if nart:
-        cost1 = np.zeros(ncols)
+        cost1 = np.zeros(n + m + nart)
         cost1[n + m:] = 1.0
-        _set_objective(tab, basis, cost1)
-        iters = _pivot_loop(tab, basis, max_iter, tol, iters)
+        _set_objective(tab, basis, nonbasic, cost1)
+        iters = _pivot_loop(tab, basis, nonbasic, max_iter, tol, iters)
         if -tab[-1, -1] > FEAS_TOL:
             raise InfeasibleError(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
         # Drive leftover artificials out of the basis; drop rows that turn
         # out to be redundant (all structural coefficients eliminated).
-        drop = []
+        keep = np.ones(m + 1, dtype=bool)
         for r in range(m):
             if basis[r] >= n + m:
-                row = tab[r, :n + m]
-                nz = np.flatnonzero(np.abs(row) > tol)
-                if nz.size:
-                    _pivot(tab, basis, r, int(nz[0]))
+                ok = np.flatnonzero((nonbasic < n + m) & (np.abs(tab[r, :-1]) > tol))
+                if ok.size:
+                    _exchange(tab, basis, nonbasic, r, int(ok[np.argmin(nonbasic[ok])]))
                     iters += 1
                 else:
-                    drop.append(r)
-        if drop:
-            keep = [r for r in range(m) if r not in drop]
-            tab = np.vstack([tab[keep], tab[-1:]])
-            basis = basis[keep]
-        tab = np.delete(tab, np.s_[n + m:n + m + nart], axis=1)
+                    keep[r] = False
+        real = np.append(nonbasic < n + m, True)  # drop the nonbasic artificials
+        tab = tab[np.ix_(keep, real)]
+        basis, nonbasic = basis[keep[:m]], nonbasic[real[:-1]]
 
     cost2 = np.zeros(n + m)
     cost2[:n] = c
-    _set_objective(tab, basis, cost2)
-    iters = _pivot_loop(tab, basis, max_iter, tol, iters)
+    _set_objective(tab, basis, nonbasic, cost2)
+    iters = _pivot_loop(tab, basis, nonbasic, max_iter, tol, iters)
 
-    rows = tab.shape[0] - 1
     full = np.zeros(n + m)
-    full[basis[:rows]] = tab[:rows, -1]
+    full[basis] = tab[:-1, -1]
     x = full[:n].copy()
+    # Sharpness (module docstring); inf when no column is nonbasic.
+    r_min = tab[-1, :-1].min(initial=np.inf)
+    sharpness = r_min / max(1.0, np.abs(tab[:-1, :-1]).max(initial=0.0)) if r_min > 0 else 0.0
     return LpSolution(x=x, value=float(c @ x), basis=basis.copy(), iterations=iters,
-                      sharpness=_sharpness(tab, basis))
-
-
-def _sharpness(tab, basis):
-    """r_min / max(1, max|T_N|) over the nonbasic columns; 0 unless r_min > 0.
-
-    With no nonbasic column (no structural variables) it is inf.
-    """
-    nonbasic = np.ones(tab.shape[1] - 1, dtype=bool)
-    nonbasic[basis] = False
-    cols = np.flatnonzero(nonbasic)
-    r_min = tab[-1, cols].min(initial=np.inf)
-    if not r_min > 0:
-        return 0.0
-    return float(r_min / max(1.0, np.abs(tab[:-1, cols]).max(initial=0.0)))
+                      sharpness=float(sharpness))
 
 
 def solve(c, a, b, sense="min", max_iter=MAX_ITER, tol=PIVOT_TOL):
@@ -198,7 +188,11 @@ def solve(c, a, b, sense="min", max_iter=MAX_ITER, tol=PIVOT_TOL):
     Returns an LpSolution whose ``x`` is an optimal basic feasible solution
     and whose ``sharpness`` bounds the optimal face (see the module
     docstring): every feasible x within eps of the optimal value lies within
-    eps / sharpness of ``x`` in every coordinate.
+    eps / sharpness of ``x`` in every coordinate. ``basis`` lists the
+    variable basic in each row (structurals 0..n-1, slacks from n; rows that
+    phase 1 found redundant are dropped) and ``iterations`` counts pivots.
+    The work is one condensed tableau: (m+1) x (n+1) entries in phase 2,
+    one more column per flipped row in phase 1.
     Raises UnboundedError / InfeasibleError / IterationLimitError rather than
     ever returning a suboptimal point.
     """

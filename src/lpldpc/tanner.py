@@ -170,14 +170,17 @@ def parse_alist(text):
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise AlistError(f"non-ASCII byte at offset {exc.start}") from exc
+    elif not text.isascii():
+        offset = next(k for k, ch in enumerate(text) if not ch.isascii())
+        raise AlistError(f"non-ASCII character at offset {offset}")
     lines = []
     for raw in text.splitlines():
         parts = raw.split()
         if parts:
-            try:
-                lines.append([int(p) for p in parts])
-            except ValueError as exc:
-                raise AlistError(f"non-integer token in line {raw!r}") from exc
+            # Only unsigned decimal digits: int() would also take "+3" and "0_1".
+            if not all(p.isdigit() for p in parts):
+                raise AlistError(f"non-integer token in line {raw!r}")
+            lines.append([int(p) for p in parts])
     if len(lines) < 4:
         raise AlistError("truncated file: need header, max degrees and degree lists")
     if len(lines[0]) != 2:

@@ -7,8 +7,9 @@ tiny sizes) rather than the simplex solver, polytope membership from every
 odd-subset row rather than the sorted prefix sums, and profile scaling from
 bisection rather than the closed form, and the witness optimum from the
 pairwise edge-weight LP (one row per pair of edges at a check) rather than
-from the cone generators. The dense pivot below is the full rank-one
-tableau update that the simplex's in-place pivot must match, and the
+from the cone generators. The dense solver below keeps the full tableau,
+basic columns included, and pivots by a full rank-one update; the
+condensed tableau's exchanges must follow its pivot path exactly. The
 witness LP is also built entry by entry to pin its vectorized assembly.
 The per-check scaling loop is the one the vectorized scaling replaced, kept
 as its reference, and so are the Tanner graph layer's per-edge constructor,
@@ -21,7 +22,6 @@ than from augmenting paths on the Tanner graph, and the witness check from
 weights keyed by (variable, check) in a dict, rather than from edge arrays.
 """
 
-import contextlib
 import itertools
 import math
 from collections import deque
@@ -194,17 +194,86 @@ def dense_set_objective(tab, basis, cost):
             tab[-1] -= cb * tab[r]
 
 
-@contextlib.contextmanager
-def dense_simplex():
-    """Run ``lpldpc.simplex`` with the dense pivot and objective setup."""
-    from lpldpc import simplex
+def _dense_pivot_loop(tab, basis, max_iter, tol, used):
+    from lpldpc.simplex import IterationLimitError, UnboundedError
 
-    saved = simplex._pivot, simplex._set_objective
-    simplex._pivot, simplex._set_objective = dense_pivot, dense_set_objective
-    try:
-        yield
-    finally:
-        simplex._pivot, simplex._set_objective = saved
+    rows = tab.shape[0] - 1
+    it = used
+    while True:
+        candidates = np.flatnonzero(tab[-1, :-1] < -tol)
+        if candidates.size == 0:
+            return it
+        col = int(candidates[0])
+        column = tab[:rows, col]
+        pos = np.flatnonzero(column > tol)
+        if pos.size == 0:
+            raise UnboundedError(f"objective unbounded along column {col}")
+        ratios = tab[pos, -1] / column[pos]
+        ties = pos[ratios == ratios.min()]
+        dense_pivot(tab, basis, int(ties[np.argmin(basis[ties])]), col)
+        it += 1
+        if it > max_iter:
+            raise IterationLimitError(f"no optimum within {max_iter} pivots")
+
+
+def dense_solve(c, a, b, sense="min", max_iter=None):
+    """Two-phase Bland simplex on the full tableau: every basic column kept
+    as a unit vector, artificials removed by deleting their columns after
+    phase 1. Same rules, labels and outputs as ``lpldpc.simplex.solve``."""
+    from lpldpc.simplex import FEAS_TOL, MAX_ITER, PIVOT_TOL, InfeasibleError, LpSolution
+
+    max_iter = MAX_ITER if max_iter is None else max_iter
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    sign = {"min": 1.0, "max": -1.0}[sense]
+    m, n = a.shape
+    flip = b < 0
+    art_rows = np.flatnonzero(flip)
+    nart = art_rows.size
+    ncols = n + m + nart
+    tab = np.zeros((m + 1, ncols + 1))
+    tab[:m, :n] = a
+    tab[art_rows, :n] = -a[art_rows]
+    tab[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    tab[art_rows, n + m + np.arange(nart)] = 1.0
+    tab[:m, -1] = np.where(flip, -b, b)
+    basis = (n + np.arange(m)).astype(np.int64)
+    basis[art_rows] = n + m + np.arange(nart)
+
+    iters = 0
+    if nart:
+        cost1 = np.zeros(ncols)
+        cost1[n + m:] = 1.0
+        dense_set_objective(tab, basis, cost1)
+        iters = _dense_pivot_loop(tab, basis, max_iter, PIVOT_TOL, iters)
+        if -tab[-1, -1] > FEAS_TOL:
+            raise InfeasibleError(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
+        drop = []
+        for r in range(m):
+            if basis[r] >= n + m:
+                nz = np.flatnonzero(np.abs(tab[r, :n + m]) > PIVOT_TOL)
+                if nz.size:
+                    dense_pivot(tab, basis, r, int(nz[0]))
+                    iters += 1
+                else:
+                    drop.append(r)
+        keep = [r for r in range(m) if r not in drop]
+        tab = np.delete(np.vstack([tab[keep], tab[-1:]]), np.s_[n + m:n + m + nart], axis=1)
+        basis = basis[keep]
+
+    cost2 = np.zeros(n + m)
+    cost2[:n] = sign * c
+    dense_set_objective(tab, basis, cost2)
+    iters = _dense_pivot_loop(tab, basis, max_iter, PIVOT_TOL, iters)
+
+    full = np.zeros(n + m)
+    full[basis] = tab[:-1, -1]
+    x = full[:n].copy()
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[basis] = False
+    r_min = tab[-1, :-1][nonbasic].min(initial=np.inf)
+    scale = max(1.0, np.abs(tab[:-1, :-1][:, nonbasic]).max(initial=0.0))
+    return LpSolution(x=x, value=float(c @ x), basis=basis.copy(), iterations=iters,
+                      sharpness=float(r_min / scale) if r_min > 0 else 0.0)
 
 
 def witness_lp_by_loops(g, lamp):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +18,12 @@ from lpldpc.simplex import (
     solve,
 )
 
-from conftest import awgn_llr, recorded_solves
+from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
     best_vertex_value,
     dense_pivot,
     dense_set_objective,
-    dense_simplex,
+    dense_solve,
     var_regular_graph,
 )
 
@@ -161,11 +165,28 @@ def test_solution_is_basic_feasible():
     assert tight >= 3
 
 
-def _outcome(c, a, b, sense, max_iter):
+def _outcome(c, a, b, sense, max_iter=MAX_ITER, solver=solve):
     try:
-        return solve(c, a, b, sense=sense, max_iter=max_iter)
+        return solver(c, a, b, sense=sense, max_iter=max_iter)
     except SimplexError as exc:
         return type(exc)
+
+
+def _probe_lp(args, sol):
+    """The tie probe over the optimal face of a decode LP, built as
+    ``lp_decode`` builds it."""
+    c, a, b, _ = args
+    away = np.where(sol.x >= 0.5, 1.0, -1.0)
+    return away, np.vstack([a, c]), np.append(b, c @ sol.x + TIE_FACE_EPS), "min"
+
+
+def _recorded_lps(g, lamp):
+    """(c, a, b, sense) of every solve that ``lp_decode`` and
+    ``witness_search`` make on ``lamp``, plus the decode's tie probe even
+    when the certificate skips it."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recorded_solves(mp, lambda: (lp_decode(g, lamp), witness_search(g, lamp)))
+    return [args for args, _ in calls] + [_probe_lp(*calls[0])]
 
 
 def _assert_same_path(got, want):
@@ -174,7 +195,7 @@ def _assert_same_path(got, want):
         return
     assert got.iterations == want.iterations
     assert got.basis.tolist() == want.basis.tolist()
-    # The in-place pivot may leave -0.0 where the dense update leaves +0.0.
+    # An exchange may leave -0.0 where the dense update leaves +0.0.
     assert np.array_equal(got.x, want.x)
     assert got.value == want.value
     assert got.sharpness == want.sharpness
@@ -217,34 +238,42 @@ def test_pivot_matches_dense_reference_on_random_lps(
         kind, m, n, seed, negative_rhs, boxed, sense, max_iter):
     c, a, b = _random_lp(kind, m, n, seed, negative_rhs, boxed)
     got = _outcome(c, a, b, sense, max_iter)
-    with dense_simplex():
-        want = _outcome(c, a, b, sense, max_iter)
+    want = _outcome(c, a, b, sense, max_iter, solver=dense_solve)
     _assert_same_path(got, want)
 
 
 def test_kernels_match_dense_reference_on_random_tableaus():
+    # A full tableau whose basic columns are unit vectors, condensed to its
+    # nonbasic columns in a shuffled order: pricing out an objective and one
+    # exchange must give the full dense results restricted to the nonbasic
+    # columns, entry for entry.
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        rows = int(rng.integers(2, 9))
+    for _ in range(200):
+        rows = int(rng.integers(1, 9))
         cols = rows + int(rng.integers(1, 6))
-        shape = (rows + 1, cols + 1)
-        tab = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), 0.0)
+        full = np.where(rng.random((rows + 1, cols + 1)) < 0.5,
+                        rng.normal(size=(rows + 1, cols + 1)), 0.0)
         basis = rng.choice(cols, size=rows, replace=False)
+        full[:, basis] = 0.0
+        full[np.arange(rows), basis] = 1.0
+        nonbasic = rng.permutation(np.setdiff1d(np.arange(cols), basis))
+        tab = full[:, np.append(nonbasic, -1)]
         cost = np.where(rng.random(cols) < 0.5, rng.normal(size=cols), 0.0)
-        got, want = tab.copy(), tab.copy()
-        simplex._set_objective(got, basis, cost)
-        dense_set_objective(want, basis, cost)
-        assert got.tobytes() == want.tobytes()
+        simplex._set_objective(tab, basis, nonbasic, cost)
+        dense_set_objective(full, basis, cost)
+        assert tab.tobytes() == full[:, np.append(nonbasic, -1)].tobytes()
         row = int(rng.integers(rows))
-        nonzero = np.flatnonzero(got[row, :-1])
+        nonzero = np.flatnonzero(tab[row, :-1])
         if nonzero.size == 0:
             continue
-        col = int(rng.choice(nonzero))
+        s = int(rng.choice(nonzero))
+        entering, leaving = nonbasic[s], basis[row]
         got_basis, want_basis = basis.copy(), basis.copy()
-        simplex._pivot(got, got_basis, row, col)
-        dense_pivot(want, want_basis, row, col)
-        assert np.array_equal(got, want)
-        assert got_basis.tolist() == want_basis.tolist()
+        simplex._exchange(tab, got_basis, nonbasic, row, s)
+        dense_pivot(full, want_basis, row, entering)
+        assert nonbasic[s] == leaving and got_basis.tolist() == want_basis.tolist()
+        # The dense update may turn a -0.0 of the pivot row into +0.0.
+        assert np.array_equal(tab, full[:, np.append(nonbasic, -1)])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -286,9 +315,7 @@ def test_pivot_path_pinned_on_witness_lp(monkeypatch, trial):
     assert len(calls) == 1
     (args, got), = calls
     assert args[1].shape == (19, 452)  # the benchmark's witness LP: n + 1 rows, |E| + 2 columns
-    with dense_simplex():
-        want = solve(*args)
-    _assert_same_path(got, want)
+    _assert_same_path(got, dense_solve(*args))
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2, 3])
@@ -298,14 +325,101 @@ def test_pivot_path_pinned_on_decoder_lps(monkeypatch, trial):
     calls = recorded_solves(monkeypatch, lambda: lp_decode(g, lamp))
     assert len(calls) == 1  # the main solve certifies a unique optimum
     (args, got), = calls
-    with dense_simplex():
-        want = solve(*args)
-    _assert_same_path(got, want)
-    # The tie probe over the optimal face, built as lp_decode builds it
-    c, a, b, _ = args
-    away = np.where(got.x >= 0.5, 1.0, -1.0)
-    probe = (away, np.vstack([a, c]), np.append(b, c @ got.x + TIE_FACE_EPS), "min")
-    got = solve(*probe)
-    with dense_simplex():
-        want = solve(*probe)
-    _assert_same_path(got, want)
+    _assert_same_path(got, dense_solve(*args))
+    probe = _probe_lp(args, got)
+    _assert_same_path(solve(*probe), dense_solve(*probe))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_recorded_decode_and_witness_lps_match_dense_reference(data):
+    # degree-0 and -1 checks included; quantize2 LLRs make the LPs
+    # degenerate, and the probe LP is the face of the main optimum
+    g = data.draw(irregular_graphs(max_degree=6))
+    spec = MapSpec.parse(data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lamp = spec.apply(rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n))
+    for c, a, b, sense in _recorded_lps(g, lamp):
+        _assert_same_path(_outcome(c, a, b, sense),
+                          _outcome(c, a, b, sense, solver=dense_solve))
+
+
+def _highs_outcome(c, a, b, sense):
+    """("optimal", value), ("infeasible", None) or ("unbounded", None) from
+    HiGHS dual simplex, which shares no code with ``simplex.solve``."""
+    from scipy.optimize import linprog
+
+    sign = 1.0 if sense == "min" else -1.0
+    res = linprog(sign * np.asarray(c), A_ub=a, b_ub=b, method="highs-ds")
+    kind = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    assert kind is not None, res.message
+    return kind, sign * res.fun if kind == "optimal" else None
+
+
+def _assert_matches_highs(c, a, b, sense):
+    got = _outcome(c, a, b, sense)
+    kind, value = _highs_outcome(c, a, b, sense)
+    if isinstance(got, type):
+        assert (kind, got) in {("infeasible", InfeasibleError), ("unbounded", UnboundedError)}
+        return
+    assert kind == "optimal"
+    assert abs(got.value - value) <= 1e-9 * max(1.0, abs(value))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "integer", "sparse"]),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    negative_rhs=st.booleans(),
+    boxed=st.booleans(),
+    sense=st.sampled_from(["min", "max"]),
+)
+def test_random_lps_match_highs(kind, m, n, seed, negative_rhs, boxed, sense):
+    _assert_matches_highs(*_random_lp(kind, m, n, seed, negative_rhs, boxed), sense)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_recorded_decode_and_witness_lps_match_highs(data):
+    g = data.draw(irregular_graphs(max_degree=6))
+    spec = MapSpec.parse(data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lamp = spec.apply(rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n))
+    for lp in _recorded_lps(g, lamp):
+        _assert_matches_highs(*lp)
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_benchmark_decode_and_witness_lps_match_highs(trial):
+    # the decode LP of a (3,4) n=24 graph with its probe, and the
+    # witness-dv25 witness LP
+    g = generate_regular(24, 3, 4, seed=3)
+    for lp in _recorded_lps(g, awgn_llr(g, 0.9, seed=5, trial=trial)):
+        _assert_matches_highs(*lp)
+    g = var_regular_graph(18, 25, 200, seed=3)
+    lamp = awgn_llr(g, 0.5, seed=7, trial=trial, map_spec=MapSpec.parse("threshold:1.0"))
+    for lp in _recorded_lps(g, lamp):
+        _assert_matches_highs(*lp)
+
+
+def test_decode_and_witness_import_neither_scipy_optimize_nor_sparse():
+    # HiGHS (scipy.optimize) and scipy.sparse cost 10-22 MB of peak RSS;
+    # only the tests above may bring them in.
+    script = """
+import sys
+import numpy as np
+import lpldpc
+g = lpldpc.generate_regular(12, 3, 4, seed=11)
+lamp = np.linspace(-0.5, 1.5, g.n)
+lpldpc.lp_decode(g, lamp)
+lpldpc.witness_search(g, lamp)
+loaded = sorted(k for k in sys.modules
+                if k.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"]))
+print(",".join(loaded))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == ""

@@ -290,6 +290,23 @@ def test_parse_rejects_non_ascii_bytes():
         parse_alist(b"\xff\xfe")
 
 
+@pytest.mark.parametrize("token", ["+3", "0_3", "3.0", "-3", "\u0663", "\uff13", "\u00b3"])
+def test_parse_accepts_only_ascii_decimal_tokens(token):
+    # int() reads every one of these except "3.0"; none is an alist integer
+    bad = SINGLE_CHECK_ALIST.replace("3 1", f"{token} 1", 1)
+    with pytest.raises(AlistError):
+        parse_alist(bad)
+    if token.isascii():
+        with pytest.raises(AlistError, match="non-integer"):
+            parse_alist(bad.encode())
+
+
+def test_parse_rejects_non_ascii_text():
+    # a non-ASCII space would otherwise split tokens as str.split() does
+    with pytest.raises(AlistError, match="non-ASCII character at offset 1"):
+        parse_alist(SINGLE_CHECK_ALIST.replace("3 1", "3\u20031", 1))
+
+
 def test_emit_zero_degree_graph_round_trips():
     # no edges: every neighbor row is a single padding 0, never a blank line
     g = TannerGraph(2, [[]])
