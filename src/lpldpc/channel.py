@@ -93,7 +93,8 @@ class MapSpec:
     def __str__(self):
         if self.kind == "trivial":
             return "trivial"
-        return f"{self.kind}:{self.param:g}"
+        short = f"{self.param:g}"  # repr where :g would not parse back to param
+        return f"{self.kind}:{short if float(short) == self.param else repr(self.param)}"
 
     def apply(self, lam):
         lam = np.asarray(lam, dtype=float)

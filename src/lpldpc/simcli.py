@@ -19,7 +19,7 @@ from . import gf2
 from .channel import ChannelParams, MapSpec, apply_map, bpsk, normalized_llr, transmit_awgn, trial_rng
 from .lpdec import lp_decode
 from .pseudo import awgnc_pseudoweight, canonical_completion, pseudoweight_bound
-from .tanner import DisconnectedGraphError, GenerationError, bfs_tiers, generate_regular, parse_alist
+from .tanner import DisconnectedGraphError, GenerationError, generate_regular, parse_alist
 from .witness import (
     DEAD_BAND,
     boundary_set,
@@ -260,26 +260,13 @@ class ScanRow:
     bound: float
 
 
-def _connected_graph(n, dv, dc, master_seed, n_index, graph_index):
-    # Rejects the rare disconnected sample; the retry index keeps determinism.
-    for attempt in range(50):
-        gseed = int(np.random.SeedSequence(
-            entropy=master_seed, spawn_key=(n_index, graph_index, attempt)
-        ).generate_state(1)[0])
-        try:
-            g = generate_regular(n, dv, dc, gseed)
-            bfs_tiers(g, 0)
-            return g, gseed
-        except (DisconnectedGraphError, GenerationError):
-            continue
-    raise RuntimeError(f"no connected ({dv}, {dc})-regular graph found at n={n}")
-
-
 def run_pseudo_scan(config):
     """Pseudo-weight versus length scan for tier completions.
 
     For each n, samples graphs and roots and records the completion's
-    pseudo-weight next to the growth bound beta' * n^beta.
+    pseudo-weight next to the growth bound beta' * n^beta. Each graph is the
+    first simple, connected sample over 50 spawned seeds; connectivity comes
+    from the tier BFS of the first root's completion, one BFS per completion.
     """
     sc = config.scan
     boundcache = {}
@@ -288,11 +275,23 @@ def run_pseudo_scan(config):
         if n not in boundcache:
             boundcache[n] = pseudoweight_bound(sc.dv, sc.dc, n).bound
         for gi in range(sc.graphs_per_n):
-            g, gseed = _connected_graph(n, sc.dv, sc.dc, config.seed, ni, gi)
             rng = trial_rng(config.seed, ni * 10_000 + gi, stream=2)
-            roots = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
-            for root in sorted(int(r) for r in roots):
-                pcw, alpha = canonical_completion(g, root)
+            picks = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
+            roots = sorted(int(r) for r in picks)
+            for attempt in range(50):
+                gseed = int(np.random.SeedSequence(
+                    entropy=config.seed, spawn_key=(ni, gi, attempt)
+                ).generate_state(1)[0])
+                try:
+                    g = generate_regular(n, sc.dv, sc.dc, gseed)
+                    completions = [canonical_completion(g, roots[0])]
+                except (DisconnectedGraphError, GenerationError):
+                    continue  # rare; the attempt index keeps the retry deterministic
+                break
+            else:
+                raise RuntimeError(f"no connected ({sc.dv}, {sc.dc})-regular graph found at n={n}")
+            completions += [canonical_completion(g, root) for root in roots[1:]]
+            for root, (pcw, alpha) in zip(roots, completions):
                 rows.append(ScanRow(
                     n=n, dv=sc.dv, dc=sc.dc, graph_seed=gseed, root=root,
                     alpha=alpha, pseudoweight=awgnc_pseudoweight(pcw),

@@ -83,6 +83,12 @@ class TannerGraph:
         except OverflowError:  # such an index is out of range, and stays so when clamped
             var_of = np.fromiter((min(max(i, -1), n) for i in itertools.chain.from_iterable(rows)),
                                  np.int64, size)
+        self._set_csr(n, check_indptr, var_of, rows)
+
+    def _set_csr(self, n, check_indptr, var_of, rows=None):
+        """Validate and store fresh int64 check-side CSR arrays; returns self.
+        A range error names the entry of ``rows``, which ``var_of`` may clamp."""
+        m, size = check_indptr.size - 1, var_of.size
         check_of = np.repeat(np.arange(m, dtype=np.int64), np.diff(check_indptr))
         # Stable by variable: each variable's edges stay in row-major order, so
         # its checks ascend and a repeated edge sits next to its first copy.
@@ -95,7 +101,7 @@ class TannerGraph:
             # first offender in row-major order; a range error wins a tie
             first = min(bad.min(initial=size), dup.min(initial=size))
             j = int(check_of[first])
-            i = rows[j][first - check_indptr[j]]
+            i = int(var_of[first]) if rows is None else rows[j][first - check_indptr[j]]
             if bad.size and bad[0] == first:
                 raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
             raise ValueError(f"duplicate edge between variable {i} and check {j}")
@@ -107,6 +113,7 @@ class TannerGraph:
         self.var_indptr, self.var_indices = var_indptr, var_check
         for arr in (check_indptr, var_of, var_indptr, var_check):
             arr.flags.writeable = False
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, TannerGraph):
@@ -248,7 +255,9 @@ def generate_regular(n, d_v, d_c, seed):
     Configuration model: the n*d_v variable stubs are matched against the
     m*d_c check stubs by a seeded random permutation, resampling from scratch
     until the multigraph has no parallel edges (at most RETRY_CAP attempts).
-    Deterministic for a fixed seed.
+    Each attempt draws one permutation and is rejected by column compares
+    that stop at the first variable listing a check twice, so a fixed seed
+    fixes the graph. The accepted sample becomes CSR arrays, with no lists.
     """
     n, d_v, d_c = int(n), int(d_v), int(d_c)
     if d_v < 1 or d_c < 2:
@@ -265,11 +274,11 @@ def generate_regular(n, d_v, d_c, seed):
     for _ in range(RETRY_CAP):
         # stub k belongs to variable k // d_v: row i holds variable i's checks
         check_of = check_stub[rng.permutation(n * d_v)].reshape(n, d_v)
-        paired = np.sort(check_of, axis=1)
-        if not (paired[:, 1:] == paired[:, :-1]).any():
+        if not any((check_of[:, a, None] == check_of[:, a + 1:]).any() for a in range(d_v - 1)):
             # stable, so each check lists its stubs, hence its variables, in order
             rows = np.argsort(check_of, axis=None, kind="stable") // d_v
-            return TannerGraph(n, rows.reshape(m, d_c).tolist())
+            indptr = np.arange(m + 1, dtype=np.int64) * d_c
+            return TannerGraph.__new__(TannerGraph)._set_csr(n, indptr, rows)
     raise GenerationError(
         f"no simple ({d_v}, {d_c})-regular graph found in {RETRY_CAP} resamples (n={n}, m={m})"
     )

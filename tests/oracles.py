@@ -14,12 +14,15 @@ witness LP is also built entry by entry to pin its vectorized assembly.
 The per-check scaling loop is the one the vectorized scaling replaced, kept
 as its reference, and so are the Tanner graph layer's per-edge constructor,
 its queue BFS and its rejection sampler with ``np.unique``, which the array
-versions must match exactly. The always-probe decoder is ``lp_decode``
-before it read uniqueness from the final tableau; the certified decoder
-must return the same outcome. The delta-matching verdict comes from
-Edmonds-Karp max flow on an explicit network with source and sink, rather
-than from augmenting paths on the Tanner graph, and the witness check from
-weights keyed by (variable, check) in a dict, rather than from edge arrays.
+versions must match exactly. The pseudo-weight scan keeps its separate
+connectivity BFS per sampled graph, which the scan's retry loop, reading
+connectivity from the first completion, must match row for row. The
+always-probe decoder is ``lp_decode`` before it read uniqueness from the
+final tableau; the certified decoder must return the same outcome. The
+delta-matching verdict comes from Edmonds-Karp max flow on an explicit
+network with source and sink, rather than from augmenting paths on the
+Tanner graph, and the witness check from weights keyed by (variable, check)
+in a dict, rather than from edge arrays.
 """
 
 import itertools
@@ -432,6 +435,42 @@ def bfs_tiers_by_queue(g, root):
             np.flatnonzero(var_tier < 0).tolist(), np.flatnonzero(check_tier < 0).tolist()
         )
     return var_tier, check_tier, int(max(var_tier.max(), check_tier.max()))
+
+
+def pseudo_scan_by_connectivity_bfs(config):
+    """``run_pseudo_scan`` as it was before connectivity came from the first
+    completion's tier BFS: each attempt's sample is tested by a separate
+    ``bfs_tiers`` from variable 0, and only then are roots drawn and
+    completed. Returns the same ScanRow list or raises the same errors."""
+    from lpldpc import (DisconnectedGraphError, GenerationError, ScanRow, awgnc_pseudoweight,
+                        bfs_tiers, canonical_completion, generate_regular, pseudoweight_bound,
+                        trial_rng)
+
+    sc = config.scan
+    rows = []
+    for ni, n in enumerate(sc.n_values):
+        bound = pseudoweight_bound(sc.dv, sc.dc, n).bound
+        for gi in range(sc.graphs_per_n):
+            for attempt in range(50):
+                gseed = int(np.random.SeedSequence(
+                    entropy=config.seed, spawn_key=(ni, gi, attempt)
+                ).generate_state(1)[0])
+                try:
+                    g = generate_regular(n, sc.dv, sc.dc, gseed)
+                    bfs_tiers(g, 0)
+                    break
+                except (DisconnectedGraphError, GenerationError):
+                    continue
+            else:
+                raise RuntimeError(f"no connected ({sc.dv}, {sc.dc})-regular graph found at n={n}")
+            rng = trial_rng(config.seed, ni * 10_000 + gi, stream=2)
+            roots = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
+            for root in sorted(int(r) for r in roots):
+                pcw, alpha = canonical_completion(g, root)
+                rows.append(ScanRow(n=n, dv=sc.dv, dc=sc.dc, graph_seed=gseed, root=root,
+                                    alpha=alpha, pseudoweight=awgnc_pseudoweight(pcw),
+                                    bound=bound))
+    return rows
 
 
 def lp_decode_always_probe(g, lamp):

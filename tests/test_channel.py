@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpldpc import (
     ChannelParams,
@@ -99,6 +101,20 @@ def test_map_parse_and_str():
     for bad in ("trivial:1", "threshold", "clip:1", "threshold:-2", "quantize2:0"):
         with pytest.raises(ValueError):
             MapSpec.parse(bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["threshold", "quantize2"]),
+       param=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(kind="threshold", param=1.0000001)
+@example(kind="threshold", param=1.23456789)
+@example(kind="quantize2", param=5e-324)
+def test_map_label_parses_back_to_its_map(kind, param):
+    # two maps must never share a `map` label in a run_wer CSV
+    spec = MapSpec(kind, param)
+    assert MapSpec.parse(str(spec)) == spec
+    if param == 1.0:
+        assert str(spec) == f"{kind}:1"
 
 
 def test_threshold_example():

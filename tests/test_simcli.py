@@ -1,16 +1,21 @@
 import collections
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpldpc import (
     CellResult,
+    DisconnectedGraphError,
     ExperimentConfig,
     GraphSource,
     ScanRow,
+    bfs_tiers,
     emit_csv,
     emit_alist,
     generate_regular,
@@ -20,9 +25,9 @@ from lpldpc import (
     run_witness_rate,
 )
 
-from lpldpc import simcli
+from lpldpc import simcli, tanner
 
-from oracles import lp_decode_always_probe, var_regular_graph
+from oracles import lp_decode_always_probe, pseudo_scan_by_connectivity_bfs, var_regular_graph
 
 
 def wer_config(**overrides):
@@ -164,7 +169,7 @@ def test_run_pseudo_scan_rows_respect_bound():
 def test_run_pseudo_scan_calls_tanner_through_module_names(monkeypatch):
     # The benchmark tracer wraps these names in every lpldpc module that
     # holds them; a trial must reach the graph layer through them.
-    from lpldpc import pseudo, simcli
+    from lpldpc import pseudo
 
     calls = collections.Counter()
 
@@ -177,9 +182,11 @@ def test_run_pseudo_scan_calls_tanner_through_module_names(monkeypatch):
 
         monkeypatch.setattr(mod, name, wrapper)
 
-    count(simcli, "generate_regular")
-    count(simcli, "bfs_tiers")
-    count(pseudo, "bfs_tiers")
+    # every module that holds a name, as the tracer wraps them
+    for mod in (simcli, pseudo, tanner):
+        for name in ("generate_regular", "bfs_tiers"):
+            if hasattr(mod, name):
+                count(mod, name)
     cfg = ExperimentConfig.from_json({
         "mode": "pseudo-scan",
         "trials": 1,
@@ -189,9 +196,70 @@ def test_run_pseudo_scan_calls_tanner_through_module_names(monkeypatch):
     })
     rows = run_pseudo_scan(cfg)
     assert len(rows) == 4
-    # one graph, one connectivity BFS and one tier BFS per trial
-    assert calls == {"lpldpc.simcli.generate_regular": 4, "lpldpc.simcli.bfs_tiers": 4,
-                     "lpldpc.pseudo.bfs_tiers": 4}
+    # one graph and one BFS per trial: the tier BFS also tests connectivity
+    assert calls == {"lpldpc.simcli.generate_regular": 4, "lpldpc.pseudo.bfs_tiers": 4}
+
+
+def _scan_config(seed, n_values, graphs_per_n, roots_per_graph, dv=3, dc=4):
+    return ExperimentConfig.from_json({
+        "mode": "pseudo-scan", "trials": 1, "seed": seed,
+        "scan": {"n_values": n_values, "dv": dv, "dc": dc,
+                 "graphs_per_n": graphs_per_n, "roots_per_graph": roots_per_graph},
+    })
+
+
+def _scan_outcome(run, cfg):
+    try:
+        rows = run(cfg)
+    except RuntimeError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", [tuple(repr(v) if isinstance(v, float) else v for v in dataclasses.astuple(r))
+                  for r in rows]
+
+
+def _first_attempt_seed(seed, n_index, graph_index):
+    return int(np.random.SeedSequence(
+        entropy=seed, spawn_key=(n_index, graph_index, 0)).generate_state(1)[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_values=st.lists(st.sampled_from([8, 12, 16]), min_size=1, max_size=2),
+    graphs_per_n=st.integers(1, 3), roots_per_graph=st.integers(1, 9),
+    cap=st.sampled_from([1, 3, tanner.RETRY_CAP]),
+)
+def test_run_pseudo_scan_matches_connectivity_bfs_oracle(seed, n_values, graphs_per_n,
+                                                         roots_per_graph, cap):
+    # a shortened retry cap makes GenerationError retries, and at cap 1 some
+    # scans exhaust all 50 attempts; outcomes are compared either way
+    cfg = _scan_config(seed, n_values, graphs_per_n, roots_per_graph)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "RETRY_CAP", cap)
+        assert _scan_outcome(run_pseudo_scan, cfg) == \
+            _scan_outcome(pseudo_scan_by_connectivity_bfs, cfg)
+
+
+@pytest.mark.parametrize("roots_per_graph", [1, 3, 8])
+def test_run_pseudo_scan_retries_disconnected_first_sample(roots_per_graph):
+    # Found by search: at master seed 223, the first sample of graph 41 at
+    # n = 8 is disconnected, so that graph comes from attempt 1 or later.
+    cfg = _scan_config(223, [8], 42, roots_per_graph)
+    with pytest.raises(DisconnectedGraphError):
+        bfs_tiers(generate_regular(8, 3, 4, _first_attempt_seed(223, 0, 41)), 0)
+    outcome = _scan_outcome(run_pseudo_scan, cfg)
+    assert outcome == _scan_outcome(pseudo_scan_by_connectivity_bfs, cfg)
+    assert len(outcome[1]) == 42 * roots_per_graph
+    retried = {row[3] for row in outcome[1][41 * roots_per_graph:]}  # graph_seed
+    assert len(retried) == 1 and _first_attempt_seed(223, 0, 41) not in retried
+
+
+def test_run_pseudo_scan_gives_up_after_fifty_attempts():
+    # d_v = 3 exceeds m = 2: every attempt raises GenerationError
+    cfg = _scan_config(5, [4], 1, 1, dv=3, dc=6)
+    want = ("RuntimeError", "no connected (3, 6)-regular graph found at n=4")
+    assert _scan_outcome(run_pseudo_scan, cfg) == want
+    assert _scan_outcome(pseudo_scan_by_connectivity_bfs, cfg) == want
 
 
 def test_run_pseudo_scan_growth_rate():

@@ -419,7 +419,7 @@ def test_csr_arrays_are_read_only():
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    d_v=st.integers(1, 5), d_c=st.integers(2, 9), k=st.integers(1, 10),
+    d_v=st.integers(1, 8), d_c=st.integers(2, 9), k=st.integers(1, 10),
     skew=st.sampled_from([0] * 7 + [1]), seed=st.integers(0, 2**32 - 1),
     cap=st.sampled_from([1, 40]),
 )
