@@ -83,6 +83,7 @@ from .witness import (
     derive_params,
     find_delta_matching,
     high_noise_set,
+    stopping_core,
     weights_from_matching,
     witness_search,
 )

@@ -20,7 +20,7 @@ from .simcli import ExperimentConfig, emit_csv, run_pseudo_scan, run_wer, run_wi
 from .simcli import CellResult, ScanRow, WitnessRateRow
 from .tanner import emit_alist, generate_regular, parse_alist
 from .witness import ParameterError, boundary_set, check_expansion, derive_params, \
-    find_delta_matching, high_noise_set, witness_search
+    find_delta_matching, high_noise_set, stopping_core, witness_search
 
 
 def _load_graph(path):
@@ -80,6 +80,7 @@ def _cmd_witness(args):
     s_star = witness_search(g, lamp)
     u = high_noise_set(lamp)
     print(f"s_star {s_star!r}")
+    print(f"core {np.count_nonzero(stopping_core(g))} of {g.n} variables")
     print("U " + (" ".join(str(i) for i in sorted(u)) or "(empty)"))
     vd = g.var_degrees
     if vd.min() != vd.max():

@@ -96,6 +96,12 @@ class ScanSpec:
             raise ValueError("scan requires 3 <= dv < dc")
         if self.graphs_per_n < 1 or self.roots_per_graph < 1:
             raise ValueError("scan counts must be >= 1")
+        for n in self.n_values:
+            if n * self.dv % self.dc != 0 or self.dc > n:
+                raise ValueError(
+                    f"scan n={n} does not fit dv={self.dv}, dc={self.dc}: a simple regular "
+                    "graph needs n*dv divisible by dc and dc <= n"
+                )
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,14 @@ high-noise variable enough private checks.
 The witness LP is written over the generators of each check's pairwise cone
 rather than over its pairs: one non-negative weight mu per edge, with
 tau_ij = M_j - 2 mu_ij and M_j the sum of mu at check j. Every pairwise sum
-is then 2 * (sum of the other mu) >= 0, so the LP keeps only the n variable
+is then 2 * (sum of the other mu) >= 0, so the LP keeps only the variable
 rows and a cap row, instead of one row per pair of edges at a check (a
 number that grows with the square of the check degree). Its optimum is the
-same number as the pairwise LP's; ``witness_search`` gives the argument.
+same number as the pairwise LP's. Only the graph's stopping-set core, what
+peeling leaves (``stopping_core``), constrains it: a peeled variable's row
+can always be met through the check that freed it. So the LP is solved on
+the core alone, and not at all when the core is empty; ``witness_search``
+gives both arguments.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "find_delta_matching",
     "weights_from_matching",
     "check_feasible",
+    "stopping_core",
     "witness_search",
     "chernoff_sigma_budget",
 ]
@@ -362,6 +367,29 @@ def check_feasible(g, weights, lamp):
     )
 
 
+def stopping_core(g):
+    """Boolean mask of the largest stopping set of ``g``: its core.
+
+    A stopping set is a set of variables that no check sees exactly once. A
+    union of stopping sets is one, so a largest exists, and peeling finds it:
+    a check with exactly one live neighbour frees that variable. Each round
+    frees the whole frontier of such variables, until no check frees a live
+    one; what stays live is the core. Per round, each check counts its live
+    neighbours and sums their indices: at a count of 1 the sum is the
+    neighbour it frees.
+    """
+    edge_var, edge_check = _edge_vars(g), g.var_indices
+    live = np.ones(g.n, dtype=bool)
+    while True:
+        on = live[edge_var]
+        count = np.bincount(edge_check[on], minlength=g.m)
+        total = np.bincount(edge_check[on], weights=edge_var[on], minlength=g.m)
+        freed = total[count == 1].astype(np.int64)
+        if not live[freed].any():
+            return live
+        live[freed] = False
+
+
 def witness_search(g, lamp):
     """Maximum worst-case slack s* over all weight assignments, by LP.
 
@@ -382,26 +410,46 @@ def witness_search(g, lamp):
     unbounded too; then s* equals the cap. Only a positive cap gives such an
     LP the right sign: max(llr) would be wrong whenever every LLR is
     negative, and max|llr| alone whenever every LLR is 0.
+
+    The LP is solved on the stopping-set core R alone (``stopping_core``).
+    Column mu_ij is -1 in row i and +1 in the rows of the other variables at
+    check j. When check j freed variable i during peeling, those variables
+    were all freed before i; so setting the freeing mu in reverse peel order,
+    each large enough for its own row, meets every peeled row whatever s is,
+    and touches no row in R. Every other column at a peeled variable has no
+    negative entry in a row of R, so setting it to 0 loses nothing. What is
+    left is the witness LP of the subgraph induced by R, on llr_R, under the
+    same cap. With R empty that LP is s <= cap, and s* is the cap with no
+    solve; with R every variable it is the full LP, built as it always was.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
     if not np.isfinite(lamp).all():
         raise ValueError("LLR vector must be finite")
-    # edges in g.edges() order: variable-major, checks ascending
+    cap = np.abs(lamp).max()
+    if cap == 0:
+        cap = 1.0
+    core = stopping_core(g)
+    if not core.any():
+        return float(cap)
+    # core edges in g.edges() order: variable-major, checks ascending. A check
+    # at a core variable has at least two core neighbours, or peeling would
+    # have freed that variable.
     edge_var, edge_check = _edge_vars(g), g.var_indices
-    ne = edge_var.size
-    h = np.zeros((g.m, g.n))
-    h[edge_check, edge_var] = 1.0
-    # Column (i', j) carries mu_i'j: +1 in the row of every variable at check
-    # j (its share of M_j), and 1 - 2 = -1 in its own variable's row.
-    a = np.zeros((g.n + 1, ne + 2))
-    a[:g.n, :ne] = h[edge_check].T
-    a[edge_var, np.arange(ne)] = -1.0
+    keep = core[edge_var]
+    edge_row, edge_check = (np.cumsum(core) - 1)[edge_var[keep]], edge_check[keep]
+    rows, ne = np.count_nonzero(core), edge_row.size
+    h = np.zeros((g.m, rows))
+    h[edge_check, edge_row] = 1.0
+    # Column (i', j) carries mu_i'j: +1 in the row of every core variable at
+    # check j (its share of M_j), and 1 - 2 = -1 in its own variable's row.
+    a = np.zeros((rows + 1, ne + 2))
+    a[:rows, :ne] = h[edge_check].T
+    a[edge_row, np.arange(ne)] = -1.0
     a[:, ne] = 1.0
     a[:, ne + 1] = -1.0
-    cap = np.abs(lamp).max()
-    b = np.append(lamp, cap if cap > 0 else 1.0)
+    b = np.append(lamp[core], cap)
     c = np.zeros(ne + 2)
     c[ne] = 1.0
     c[ne + 1] = -1.0

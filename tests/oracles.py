@@ -7,7 +7,9 @@ tiny sizes) rather than the simplex solver, polytope membership from every
 odd-subset row rather than the sorted prefix sums, and profile scaling from
 bisection rather than the closed form, and the witness optimum from the
 pairwise edge-weight LP (one row per pair of edges at a check) rather than
-from the cone generators. The dense solver below keeps the full tableau,
+from the cone generators. The stopping-set core comes from a queue peel, one
+check at a time, rather than from frontier rounds over the edge arrays, and
+the witness of a peeled graph from back-substitution down that peel order. The dense solver below keeps the full tableau,
 basic columns included, and pivots by a full rank-one update; the
 condensed tableau's exchanges must follow its pivot path exactly. The
 witness LP is also built entry by entry to pin its vectorized assembly.
@@ -280,7 +282,8 @@ def dense_solve(c, a, b, sense="min", max_iter=None):
 
 
 def witness_lp_by_loops(g, lamp):
-    """(c, A, b) of ``witness_search``'s LP, one constraint entry at a time.
+    """(c, A, b) of the witness LP over all of ``g``, one constraint entry at
+    a time; ``witness_search`` solves it on the stopping-set core.
 
     Columns: mu per edge in ``g.edges()`` order, then s+ and s-. Rows: one
     per variable, sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i, then the
@@ -306,6 +309,52 @@ def witness_lp_by_loops(g, lamp):
     c[ne] = 1.0
     c[ne + 1] = -1.0
     return c, a, b
+
+
+def stopping_core_by_queue(g):
+    """(core, order): the variables peeling never frees, ascending, and the
+    (variable, check) pairs it frees them by, in order. A check with exactly
+    one live neighbour frees it; checks enter the queue as their count of
+    live neighbours falls to 1."""
+    check_nbrs, var_nbrs = g.check_nbrs, g.var_nbrs
+    live = [True] * g.n
+    count = [len(nbrs) for nbrs in check_nbrs]
+    queue = deque(j for j in range(g.m) if count[j] == 1)
+    order = []
+    while queue:
+        j = queue.popleft()
+        if count[j] != 1:
+            continue  # its last live neighbour was freed by another check
+        (i,) = [v for v in check_nbrs[j] if live[v]]
+        live[i] = False
+        order.append((i, j))
+        for k in var_nbrs[i]:
+            count[k] -= 1
+            if count[k] == 1:
+                queue.append(k)
+    return [i for i in range(g.n) if live[i]], order
+
+
+def lift_core_witness(g, order, core_mu, s, lamp):
+    """Edge weights tau, in ``g.edges()`` order, from a vertex of the witness
+    LP on the stopping-set core.
+
+    ``core_mu`` maps each core edge (variable, check) to its mu; every other
+    mu starts at 0. Walking the peel ``order`` backwards, the mu of each freed
+    (variable, check) pair is raised just enough that llr_i - sum_j tau_ij
+    >= s. It adds to the rows of that check's other variables only, which
+    were freed earlier and so come later in the walk.
+    """
+    mu = dict.fromkeys(g.edges(), 0.0)
+    mu.update(core_mu)
+    check_nbrs, var_nbrs = g.check_nbrs, g.var_nbrs
+
+    def tau(i, j):
+        return sum(mu[(k, j)] for k in check_nbrs[j]) - 2.0 * mu[(i, j)]
+
+    for i, j in reversed(order):
+        mu[(i, j)] = max(0.0, sum(tau(i, k) for k in var_nbrs[i]) + s - lamp[i])
+    return np.array([tau(i, j) for i, j in g.edges()])
 
 
 def pairwise_witness_lp_by_loops(g, lamp):

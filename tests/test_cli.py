@@ -112,6 +112,8 @@ def test_witness_full_report(tmp_path, capsys):
     assert main(["witness", "--graph", gp, "--llr", lp]) == 0
     out = capsys.readouterr().out
     assert "s_star" in out
+    # 38 of its 130 checks have degree 1, and peeling frees every variable
+    assert "s_star 1.0\ncore 0 of 10 variables\n" in out
     assert "U 3" in out
     assert "kappa_interval" in out
     assert "matching" in out
@@ -124,6 +126,7 @@ def test_witness_small_degree_graph_omits_params(tmp_path, capsys):
     assert main(["witness", "--graph", gp, "--llr", lp]) == 0
     out = capsys.readouterr().out
     assert "s_star" in out
+    assert "\ncore 8 of 8 variables\n" in out  # regular, so no check has degree 1
     assert "proof parameters n/a" in out
 
 

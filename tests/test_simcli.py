@@ -15,6 +15,7 @@ from lpldpc import (
     ExperimentConfig,
     GraphSource,
     ScanRow,
+    ScanSpec,
     bfs_tiers,
     emit_csv,
     emit_alist,
@@ -254,12 +255,29 @@ def test_run_pseudo_scan_retries_disconnected_first_sample(roots_per_graph):
     assert len(retried) == 1 and _first_attempt_seed(223, 0, 41) not in retried
 
 
-def test_run_pseudo_scan_gives_up_after_fifty_attempts():
-    # d_v = 3 exceeds m = 2: every attempt raises GenerationError
-    cfg = _scan_config(5, [4], 1, 1, dv=3, dc=6)
-    want = ("RuntimeError", "no connected (3, 6)-regular graph found at n=4")
+def test_run_pseudo_scan_gives_up_after_fifty_attempts(monkeypatch):
+    # (3, 8) at n = 8 is the complete graph K(8, 3): a single permutation of
+    # the stubs is simple with probability 8!^3 6^8 / 24! ~ 1.8e-4, so with
+    # one resample per attempt, all 50 attempts at seed 5 raise GenerationError
+    monkeypatch.setattr(tanner, "RETRY_CAP", 1)
+    cfg = _scan_config(5, [8], 1, 1, dv=3, dc=8)
+    want = ("RuntimeError", "no connected (3, 8)-regular graph found at n=8")
     assert _scan_outcome(run_pseudo_scan, cfg) == want
     assert _scan_outcome(pseudo_scan_by_connectivity_bfs, cfg) == want
+
+
+@pytest.mark.parametrize("n_values, dv, dc, bad", [
+    ([8, 10], 3, 4, 10),  # 10 * 3 is not divisible by 4
+    ([4], 3, 6, 4),  # dc > n, so dv > m = 2: no simple graph at any seed
+    ([12, 4, 6], 3, 6, 4),
+    ([0], 3, 4, 0),
+])
+def test_scan_spec_rejects_sizes_without_a_regular_graph(n_values, dv, dc, bad):
+    with pytest.raises(ValueError, match=rf"n={bad} does not fit dv={dv}, dc={dc}"):
+        ScanSpec(n_values=tuple(n_values), dv=dv, dc=dc)
+    # from a config, before any size runs
+    with pytest.raises(ValueError, match=rf"n={bad} "):
+        _scan_config(0, n_values, 1, 1, dv=dv, dc=dc)
 
 
 def test_run_pseudo_scan_growth_rate():

@@ -309,12 +309,14 @@ def test_face_probe_stays_within_sharpness_bound(kind, m, n, seed, negative_rhs,
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
 def test_pivot_path_pinned_on_witness_lp(monkeypatch, trial):
-    g = var_regular_graph(18, 25, 200, seed=3)
+    # d_v = 25 with m = 60 checks: no check has degree 1, so the stopping-set
+    # core is every variable and the LP keeps n + 1 rows and |E| + 2 columns
+    g = var_regular_graph(18, 25, 60, seed=3)
     lamp = awgn_llr(g, 0.5, seed=7, trial=trial, map_spec=MapSpec.parse("threshold:1.0"))
     calls = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
     assert len(calls) == 1
     (args, got), = calls
-    assert args[1].shape == (19, 452)  # the benchmark's witness LP: n + 1 rows, |E| + 2 columns
+    assert args[1].shape == (19, 452)
     _assert_same_path(got, dense_solve(*args))
 
 
@@ -393,8 +395,8 @@ def test_recorded_decode_and_witness_lps_match_highs(data):
 
 @pytest.mark.parametrize("trial", [0, 1])
 def test_benchmark_decode_and_witness_lps_match_highs(trial):
-    # the decode LP of a (3,4) n=24 graph with its probe, and the
-    # witness-dv25 witness LP
+    # the decode LP of a (3,4) n=24 graph with its probe, and the decode LPs
+    # of the witness-dv25 graph, whose witness needs no LP (its core is empty)
     g = generate_regular(24, 3, 4, seed=3)
     for lp in _recorded_lps(g, awgn_llr(g, 0.9, seed=5, trial=trial)):
         _assert_matches_highs(*lp)

@@ -21,6 +21,7 @@ from lpldpc import (
     high_noise_set,
     lp_decode,
     neighbor_set,
+    stopping_core,
     weights_from_matching,
     witness_search,
 )
@@ -31,8 +32,10 @@ from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
     check_feasible_by_dicts,
     delta_matching_by_max_flow,
+    lift_core_witness,
     pairwise_witness_lp_by_loops,
     q_tail,
+    stopping_core_by_queue,
     var_regular_graph,
     witness_lp_by_loops,
 )
@@ -408,18 +411,64 @@ def test_witness_sign_matches_decoder(g34_small):
     assert checked >= 35
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=irregular_graphs(max_degree=8))
+def test_stopping_core_matches_queue_peel(g):
+    core = stopping_core(g)
+    want, order = stopping_core_by_queue(g)
+    assert core.dtype == bool and core.shape == (g.n,)
+    assert np.flatnonzero(core).tolist() == want
+    # no check sees the core exactly once, so it is a stopping set ...
+    for nbrs in g.check_nbrs:
+        assert sum(bool(core[i]) for i in nbrs) != 1
+    # ... and the largest one: peeling frees every other variable, each at a
+    # check whose other neighbours were all freed before it
+    freed = set()
+    for i, j in order:
+        assert i in g.check_nbrs[j] and set(g.check_nbrs[j]) - {i} <= freed
+        freed.add(i)
+    assert sorted(freed.union(want)) == list(range(g.n))
+
+
 @pytest.mark.parametrize("g", [
-    generate_regular(12, 3, 4, seed=11),
-    TannerGraph(5, [[3, 1, 4], [0, 2], [4, 0, 1, 2], [2]]),  # unsorted, mixed degrees
-    var_regular_graph(18, 25, 200, seed=3),
+    generate_regular(12, 3, 4, seed=11),  # full core
+    TannerGraph(5, [[3, 1, 4], [0, 2], [4, 0, 1, 2], [2]]),  # unsorted; core {1, 3, 4}
+    var_regular_graph(18, 25, 80, seed=3),  # core of 17 variables
+    var_regular_graph(18, 25, 200, seed=3),  # the witness-dv25 graph: empty core
 ])
 def test_witness_lp_matches_loop_assembly(monkeypatch, g):
     lamp = np.linspace(-0.5, 1.5, g.n)
-    ((c, a, b, _), _), = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
-    want_c, want_a, want_b = witness_lp_by_loops(g, lamp)
+    calls = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
+    core, _ = stopping_core_by_queue(g)
+    if not core:
+        assert calls == []
+        return
+    ((c, a, b, _), _), = calls
+    # the LP of the subgraph the core induces, under the cap of the whole vector
+    rank = {i: r for r, i in enumerate(core)}
+    sub = TannerGraph(len(core), [[rank[i] for i in nbrs if i in rank] for nbrs in g.check_nbrs])
+    want_c, want_a, want_b = witness_lp_by_loops(sub, lamp[core])
+    want_b[-1] = np.abs(lamp).max()
     assert c.tobytes() == want_c.tobytes()
     assert a.shape == want_a.shape and a.tobytes() == want_a.tobytes()
     assert b.tobytes() == want_b.tobytes()
+
+
+@pytest.mark.parametrize("lamp", [
+    *(awgn_llr(var_regular_graph(18, 25, 200, seed=3), 0.5, seed=7, trial=t, map_spec=THRESHOLD1)
+      for t in range(3)),
+    -np.linspace(0.1, 2.0, 18),
+    np.zeros(18),
+])
+def test_witness_search_skips_simplex_on_empty_core(monkeypatch, lamp):
+    # the witness-dv25 graph: 44 of its 200 checks have degree 1, and
+    # peeling frees all 18 variables
+    g = var_regular_graph(18, 25, 200, seed=3)
+    assert not stopping_core(g).any()
+    calls = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
+    s_star = witness_search(g, lamp)
+    assert calls == []
+    assert type(s_star) is float and s_star == (np.abs(lamp).max() or 1.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -433,18 +482,25 @@ def test_witness_search_matches_pairwise_lp(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lamp = MapSpec.parse(spec).apply(rng.normal(1.0, sigma, size=g.n))
     with pytest.MonkeyPatch.context() as mp:
-        ((_, a, _, _), sol), = recorded_solves(mp, lambda: witness_search(g, lamp))
+        calls = recorded_solves(mp, lambda: witness_search(g, lamp))
     s_star = witness_search(g, lamp)
-    edges = g.edges()
-    assert a.shape == (g.n + 1, len(edges) + 2)  # no row per edge pair
     want = simplex.solve(*pairwise_witness_lp_by_loops(g, lamp), sense="max").value
     assert abs(s_star - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
 
-    # tau_ij = M_j - 2 mu_ij from the optimal vertex is a witness with
-    # margin s*, by the independent constructive checker
-    mu = {e: sol.x[k] for k, e in enumerate(edges)}
-    big_m = [sum(mu[(i, j)] for i in nbrs) for j, nbrs in enumerate(g.check_nbrs)]
-    tau = np.array([big_m[j] - 2.0 * mu[(i, j)] for i, j in edges])
+    # One row per core variable plus the cap, one column per core edge plus
+    # s+ and s-, and no solve for an empty core. tau_ij = M_j - 2 mu_ij from
+    # the core vertex, lifted down the peel order, is a witness with margin
+    # s*, by the independent constructive checker.
+    core, order = stopping_core_by_queue(g)
+    core_edges = [(i, j) for i, j in g.edges() if i in core]
+    x = np.zeros(len(core_edges))
+    if core:
+        ((_, a, _, _), sol), = calls
+        assert a.shape == (len(core) + 1, len(core_edges) + 2)
+        x = sol.x
+    else:
+        assert calls == []
+    tau = lift_core_witness(g, order, dict(zip(core_edges, x.tolist())), s_star, lamp)
     verdict = check_feasible(g, EdgeWeights(tau), lamp)
     assert verdict.pairwise_ok
     assert verdict.margin >= s_star - 1e-9
