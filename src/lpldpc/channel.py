@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "ChannelParams",
@@ -157,9 +156,13 @@ def apply_map(spec, lam):
     return spec.apply(lam)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def qfunc(x):
-    """Standard normal tail probability Q(x)."""
-    out = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    """Standard normal tail probability Q(x): a float for a scalar, else an
+    array of x's shape."""
+    out = 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -9,6 +9,7 @@ search for an LLR file), ``expand`` (brute-force expansion check), and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from .lpdec import lp_decode
 from .pseudo import awgnc_pseudoweight, canonical_completion, pseudoweight_bound
 from .simcli import ExperimentConfig, emit_csv, run_pseudo_scan, run_wer, run_witness_rate
 from .simcli import CellResult, ScanRow, WitnessRateRow
-from .tanner import emit_alist, generate_regular, parse_alist
+from .tanner import GenerationError, emit_alist, generate_regular, parse_alist
 from .witness import ParameterError, boundary_set, check_expansion, derive_params, \
     find_delta_matching, high_noise_set, stopping_core, witness_search
 
@@ -38,7 +39,18 @@ def _load_llr(path, n):
 
 
 def _cmd_gen(args):
-    g = generate_regular(args.n, args.dv, args.dc, args.seed)
+    try:
+        g = generate_regular(args.n, args.dv, args.dc, args.seed)
+    except GenerationError as exc:
+        if args.dv > args.n * args.dv // args.dc or args.dc > args.n:
+            raise  # no simple graph exists at these degrees
+        rate = math.exp(-(args.dv - 1) * (args.dc - 1) / 2)
+        raise GenerationError(
+            f"{exc}: a configuration-model sample is simple with probability about "
+            f"exp(-(d_v-1)(d_c-1)/2) = {rate:.2g}; for large check degrees, write a "
+            f"variable-regular graph as alist and pass it with --graph or a config's "
+            f"graph path"
+        ) from exc
     with open(args.out, "w") as fh:
         fh.write(emit_alist(g))
     print(f"wrote {args.out} (n={g.n}, m={g.m})")

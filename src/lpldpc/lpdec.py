@@ -147,8 +147,9 @@ class DecodeOutcome:
 
 
 def _parity_ok(g, bits):
-    h = g.parity_check_matrix().astype(np.int64)
-    return not ((h @ bits.astype(np.int64)) % 2).any()
+    """Whether 0/1 ``bits`` meet every check: each check's sum is even."""
+    sums = np.bincount(g.var_indices, weights=np.repeat(bits, g.var_degrees), minlength=g.m)
+    return not (sums % 2).any()
 
 
 def lp_decode(g, lamp):

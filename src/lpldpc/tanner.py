@@ -27,6 +27,16 @@ __all__ = [
 # Full resamples of the stub matching before giving up on a simple graph.
 RETRY_CAP = 10_000
 
+# Byte classes of an ASCII alist document, as a bytes.translate table: 0 a
+# blank that str.split() splits at, 1 a blank that str.splitlines() also
+# breaks lines at, 2 a decimal digit, 3 anything else.
+_KIND = bytes(2 if 48 <= b <= 57 else 1 if b in (10, 11, 12, 13, 28, 29, 30)
+              else 0 if b in (9, 31, 32) else 3 for b in range(256))
+# Place values of a token's last 18 digits, then 0 for the digits before
+# them: a token of _BIG or more is held at _BIG, so int64 sums never overflow.
+_POW10 = np.append(10 ** np.arange(18, dtype=np.int64), 0)
+_BIG = 10 ** 18
+
 
 class AlistError(ValueError):
     """Malformed alist input."""
@@ -171,65 +181,112 @@ def parse_alist(text):
     Layout: header ``n m``, max degrees, per-variable and per-check degree
     lists, then the 1-based neighbor lists (zero padding allowed). Both
     adjacency blocks are cross-checked against each other.
+
+    The document is read as one byte array. Tokens and lines split where
+    ``str.split`` and ``str.splitlines`` split them, and blank lines drop
+    out. A token holds unsigned decimal digits only; its value comes from
+    the place values of its last 18 digits, and a token of 10**18 or more
+    is held at 10**18 and read exactly wherever it is compared or named.
+    The checks run per block on arrays and report the first failure in
+    document order.
     """
     if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise AlistError(f"non-ASCII byte at offset {exc.start}") from exc
+        data = bytes(text)
+        if not data.isascii():
+            offset = next(k for k, b in enumerate(data) if b >= 128)
+            raise AlistError(f"non-ASCII byte at offset {offset}")
     elif not text.isascii():
         offset = next(k for k, ch in enumerate(text) if not ch.isascii())
         raise AlistError(f"non-ASCII character at offset {offset}")
-    lines = []
-    for raw in text.splitlines():
-        parts = raw.split()
-        if parts:
-            # Only unsigned decimal digits: int() would also take "+3" and "0_1".
-            if not all(p.isdigit() for p in parts):
-                raise AlistError(f"non-integer token in line {raw!r}")
-            lines.append([int(p) for p in parts])
-    if len(lines) < 4:
+    else:
+        data = text.encode("ascii")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    kind = np.frombuffer(data.translate(_KIND), dtype=np.uint8)
+    # Only unsigned decimal digits: "+3", "0_1" and "3.0" are no alist integers.
+    bad = np.flatnonzero(kind == 3)
+    if bad.size:
+        breaks = np.flatnonzero(kind == 1)
+        k = np.searchsorted(breaks, bad[0])
+        start = breaks[k - 1] + 1 if k else 0
+        end = breaks[k] if k < breaks.size else buf.size
+        raise AlistError(f"non-integer token in line {data[start:end].decode()!r}")
+    # padded with a blank at each end, so every token starts and ends
+    word = np.zeros(buf.size + 2, dtype=bool)
+    word[1:-1] = kind == 2
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    # Line breaks before each token; a "\r\n" counts twice, but the blank
+    # line between drops out with the others.
+    line = np.cumsum(kind == 1)[starts]
+    first = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    counts = np.diff(first, append=starts.size)  # tokens per non-blank line
+    if first.size < 4:
         raise AlistError("truncated file: need header, max degrees and degree lists")
-    if len(lines[0]) != 2:
+    if counts[0] != 2:
         raise AlistError("header must contain exactly 'n m'")
-    n, m = lines[0]
+
+    def exact(k):
+        return int(data[starts[k]:ends[k]])
+
+    n, m = exact(0), exact(1)
     if n < 1 or m < 1:
         raise AlistError(f"non-positive dimensions n={n}, m={m}")
-    if len(lines[1]) != 2:
+    if counts[1] != 2:
         raise AlistError("second line must contain the two maximum degrees")
-    dv_max, dc_max = lines[1]
-    if len(lines[2]) != n:
-        raise AlistError(f"expected {n} variable degrees, got {len(lines[2])}")
-    if len(lines[3]) != m:
-        raise AlistError(f"expected {m} check degrees, got {len(lines[3])}")
-    var_deg, check_deg = lines[2], lines[3]
-    if any(d < 0 or d > dv_max for d in var_deg) or any(d < 0 or d > dc_max for d in check_deg):
-        raise AlistError("degree list entry exceeds declared maximum degree")
-    if len(lines) != 4 + n + m:
-        raise AlistError(f"expected {4 + n + m} lines, got {len(lines)}")
+    dv_max, dc_max = exact(2), exact(3)
+    if int(counts[2]) != n:
+        raise AlistError(f"expected {n} variable degrees, got {counts[2]}")
+    if int(counts[3]) != m:
+        raise AlistError(f"expected {m} check degrees, got {counts[3]}")
 
-    def read_block(block, degrees, upper, what):
-        out = []
-        for k, row in enumerate(block):
-            entries = [e for e in row if e != 0]  # zeros are padding
-            if len(entries) != degrees[k]:
-                raise AlistError(
-                    f"{what} {k}: declared degree {degrees[k]} but {len(entries)} neighbors listed"
-                )
-            if any(e < 1 or e > upper for e in entries):
-                raise AlistError(f"{what} {k}: neighbor index out of range 1..{upper}")
-            if len(set(entries)) != len(entries):
-                raise AlistError(f"{what} {k}: duplicate edge in neighbor list")
-            out.append([e - 1 for e in entries])
-        return out
+    lengths = ends - starts
+    at = np.flatnonzero(word[1:-1])
+    place = np.repeat(ends - 1, lengths) - at  # digits to the right
+    vals = np.add.reduceat((buf[at] - 48) * _POW10[np.minimum(place, 18)],
+                           np.cumsum(lengths) - lengths)
+    for k in np.flatnonzero(lengths > 18).tolist():
+        if data[starts[k]:ends[k] - 18].strip(b"0"):
+            vals[k] = _BIG
+    for lo, hi, limit in ((4, 4 + n, dv_max), (4 + n, 4 + n + m, dc_max)):
+        held = lo + np.flatnonzero(vals[lo:hi] == _BIG)  # compared exactly
+        if (vals[lo:hi] > min(limit, _BIG)).any() or any(exact(k) > limit for k in held.tolist()):
+            raise AlistError("degree list entry exceeds declared maximum degree")
+    if first.size != 4 + n + m:
+        raise AlistError(f"expected {4 + n + m} lines, got {first.size}")
 
-    var_lists = read_block(lines[4:4 + n], var_deg, m, "variable")
-    check_lists = read_block(lines[4 + n:], check_deg, n, "check")
+    # Rows 0..n-1 list the variables' checks, rows n..n+m-1 the checks'
+    # variables; zeros are padding.
+    row = np.repeat(np.arange(n + m), counts[4:])
+    entry = vals[4 + n + m:]
+    row, entry = row[entry != 0], entry[entry != 0]
+    declared = vals[4:4 + n + m]
+    listed = np.bincount(row, minlength=n + m)
+    out_of_range = np.zeros(n + m, dtype=bool)
+    out_of_range[row[entry > np.repeat([m, n], [n, m])[row]]] = True
+    order = np.lexsort((entry, row))
+    row_sorted, entry_sorted = row[order], entry[order]
+    repeated = np.zeros(n + m, dtype=bool)
+    repeated[row_sorted[1:][(row_sorted[1:] == row_sorted[:-1])
+                            & (entry_sorted[1:] == entry_sorted[:-1])]] = True
+    bad = np.flatnonzero((listed != declared) | out_of_range | repeated)
+    if bad.size:
+        r = int(bad[0])
+        what, k, upper = ("variable", r, m) if r < n else ("check", r - n, n)
+        if listed[r] != declared[r]:
+            raise AlistError(
+                f"{what} {k}: declared degree {exact(4 + r)} but {listed[r]} neighbors listed"
+            )
+        if out_of_range[r]:
+            raise AlistError(f"{what} {k}: neighbor index out of range 1..{upper}")
+        raise AlistError(f"{what} {k}: duplicate edge in neighbor list")
+
     # Blocks already checked cannot fail the constructor; its transpose
     # arrays list each variable's checks in ascending order.
-    g = TannerGraph(n, check_lists)
-    if (g.var_degrees.tolist() != var_deg
-            or g.var_indices.tolist() != [j for row in var_lists for j in sorted(row)]):
+    check_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(listed[n:], out=check_indptr[1:])
+    g = TannerGraph.__new__(TannerGraph)._set_csr(n, check_indptr, entry[row >= n] - 1)
+    if (not np.array_equal(g.var_degrees, listed[:n])
+            or not np.array_equal(g.var_indices, entry_sorted[row_sorted < n] - 1)):
         raise AlistError("variable and check adjacency blocks disagree")
     return g
 

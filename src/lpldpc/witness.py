@@ -27,6 +27,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -231,7 +232,10 @@ def _verify_matching(g, m_edges, u, udot, params):
     var, check = edges[:, 0], edges[:, 1]
     if ((var < 0) | (var >= g.n) | (check < 0) | (check >= g.m)).any():
         return False
-    if not np.isin(var * g.m + check, _edge_vars(g) * g.m + g.var_indices).all():
+    # The edge keys ascend (variable-major, each variable's checks
+    # ascending); a key past the last one meets the sentinel -1.
+    keys, wanted = _edge_vars(g) * g.m + g.var_indices, var * g.m + check
+    if not np.array_equal(np.append(keys, -1)[np.searchsorted(keys, wanted)], wanted):
         return False
     if (np.bincount(check, minlength=g.m) > 1).any():
         return False
@@ -367,8 +371,9 @@ def check_feasible(g, weights, lamp):
     )
 
 
+@lru_cache(maxsize=64)
 def stopping_core(g):
-    """Boolean mask of the largest stopping set of ``g``: its core.
+    """Read-only boolean mask of the largest stopping set of ``g``: its core.
 
     A stopping set is a set of variables that no check sees exactly once. A
     union of stopping sets is one, so a largest exists, and peeling finds it:
@@ -376,7 +381,8 @@ def stopping_core(g):
     frees the whole frontier of such variables, until no check frees a live
     one; what stays live is the core. Per round, each check counts its live
     neighbours and sums their indices: at a count of 1 the sum is the
-    neighbour it frees.
+    neighbour it frees. The core depends on the graph alone, so it is
+    cached per graph (graphs are immutable), like ``build_constraints``.
     """
     edge_var, edge_check = _edge_vars(g), g.var_indices
     live = np.ones(g.n, dtype=bool)
@@ -386,6 +392,7 @@ def stopping_core(g):
         total = np.bincount(edge_check[on], weights=edge_var[on], minlength=g.m)
         freed = total[count == 1].astype(np.int64)
         if not live[freed].any():
+            live.flags.writeable = False
             return live
         live[freed] = False
 

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Nothing here may call the code paths it checks: distances come from
-Floyd-Warshall rather than BFS, tail probabilities from math.erfc rather
-than scipy, vertex enumeration from qhull (and raw basis enumeration at
+Floyd-Warshall rather than BFS, tail probabilities from scipy's erfc rather
+than math.erfc, vertex enumeration from qhull (and raw basis enumeration at
 tiny sizes) rather than the simplex solver, polytope membership from every
 odd-subset row rather than the sorted prefix sums, and profile scaling from
 bisection rather than the closed form, and the witness optimum from the
@@ -15,8 +15,8 @@ condensed tableau's exchanges must follow its pivot path exactly. The
 witness LP is also built entry by entry to pin its vectorized assembly.
 The per-check scaling loop is the one the vectorized scaling replaced, kept
 as its reference, and so are the Tanner graph layer's per-edge constructor,
-its queue BFS and its rejection sampler with ``np.unique``, which the array
-versions must match exactly. The pseudo-weight scan keeps its separate
+its per-token alist parser, its queue BFS and its rejection sampler with
+``np.unique``, which the array versions must match exactly. The pseudo-weight scan keeps its separate
 connectivity BFS per sampled graph, which the scan's retry loop, reading
 connectivity from the first completion, must match row for row. The
 always-probe decoder is ``lp_decode`` before it read uniqueness from the
@@ -33,10 +33,11 @@ from collections import deque
 
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
+from scipy.special import erfc
 
 
 def q_tail(x):
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+    return float(0.5 * erfc(x / math.sqrt(2.0)))
 
 
 def floyd_warshall_distances(g):
@@ -424,6 +425,71 @@ def tanner_views_by_loops(n, check_nbrs):
         for i in row:
             var_nbrs[i].append(j)
     return rows, tuple(tuple(r) for r in var_nbrs)
+
+
+def parse_alist_by_tokens(text):
+    """``parse_alist`` as it read a document before the byte-array
+    tokenizer: per line and per token in Python, with the same checks in the
+    same order, so it returns an equal graph or raises the same AlistError."""
+    from lpldpc import AlistError, TannerGraph
+
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise AlistError(f"non-ASCII byte at offset {exc.start}") from exc
+    elif not text.isascii():
+        offset = next(k for k, ch in enumerate(text) if not ch.isascii())
+        raise AlistError(f"non-ASCII character at offset {offset}")
+    lines = []
+    for raw in text.splitlines():
+        parts = raw.split()
+        if parts:
+            if not all(p.isdigit() for p in parts):
+                raise AlistError(f"non-integer token in line {raw!r}")
+            lines.append([int(p) for p in parts])
+    if len(lines) < 4:
+        raise AlistError("truncated file: need header, max degrees and degree lists")
+    if len(lines[0]) != 2:
+        raise AlistError("header must contain exactly 'n m'")
+    n, m = lines[0]
+    if n < 1 or m < 1:
+        raise AlistError(f"non-positive dimensions n={n}, m={m}")
+    if len(lines[1]) != 2:
+        raise AlistError("second line must contain the two maximum degrees")
+    dv_max, dc_max = lines[1]
+    if len(lines[2]) != n:
+        raise AlistError(f"expected {n} variable degrees, got {len(lines[2])}")
+    if len(lines[3]) != m:
+        raise AlistError(f"expected {m} check degrees, got {len(lines[3])}")
+    var_deg, check_deg = lines[2], lines[3]
+    if any(d < 0 or d > dv_max for d in var_deg) or any(d < 0 or d > dc_max for d in check_deg):
+        raise AlistError("degree list entry exceeds declared maximum degree")
+    if len(lines) != 4 + n + m:
+        raise AlistError(f"expected {4 + n + m} lines, got {len(lines)}")
+
+    def read_block(block, degrees, upper, what):
+        out = []
+        for k, row in enumerate(block):
+            entries = [e for e in row if e != 0]  # zeros are padding
+            if len(entries) != degrees[k]:
+                raise AlistError(
+                    f"{what} {k}: declared degree {degrees[k]} but {len(entries)} neighbors listed"
+                )
+            if any(e < 1 or e > upper for e in entries):
+                raise AlistError(f"{what} {k}: neighbor index out of range 1..{upper}")
+            if len(set(entries)) != len(entries):
+                raise AlistError(f"{what} {k}: duplicate edge in neighbor list")
+            out.append([e - 1 for e in entries])
+        return out
+
+    var_lists = read_block(lines[4:4 + n], var_deg, m, "variable")
+    check_lists = read_block(lines[4 + n:], check_deg, n, "check")
+    g = TannerGraph(n, check_lists)
+    if (g.var_degrees.tolist() != var_deg
+            or g.var_indices.tolist() != [j for row in var_lists for j in sorted(row)]):
+        raise AlistError("variable and check adjacency blocks disagree")
+    return g
 
 
 def generate_regular_by_unique(n, d_v, d_c, seed, retry_cap):

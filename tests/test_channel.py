@@ -166,6 +166,33 @@ def test_maps_never_flip_nonzero_signs():
     assert apply_map(MapSpec.quantize2(4.0), np.array([0.0]))[0] == 4.0
 
 
+_LLRS = st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30)
+_PARAMS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_MAPS = st.one_of(st.just(MapSpec.trivial()), st.builds(MapSpec.threshold, _PARAMS),
+                  st.builds(MapSpec.quantize2, _PARAMS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=_MAPS, lam=_LLRS)
+def test_maps_are_monotone_and_keep_nonzero_signs(spec, lam):
+    lam = np.sort(np.array(lam))
+    out = apply_map(spec, lam)
+    assert (out[1:] >= out[:-1]).all()
+    nz = lam != 0
+    assert (np.sign(out[nz]) == np.sign(lam[nz])).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lam=_LLRS, slack=st.floats(0.0, 1e3))
+@example(lam=[0.0, -2.5, 1.0], slack=0.0)  # W = max|lambda|, reached at a negative entry
+def test_threshold_at_or_above_max_llr_is_identity(lam, slack):
+    lam = np.array(lam)
+    w = np.abs(lam).max() + slack
+    if w == 0:
+        return  # a threshold needs W > 0
+    assert np.array_equal(apply_map(MapSpec.threshold(w), lam), lam)
+
+
 def test_map_rejects_non_finite():
     with pytest.raises(ValueError):
         apply_map(MapSpec.trivial(), np.array([np.nan]))
@@ -175,6 +202,14 @@ def test_qfunc_against_erfc_oracle():
     for x in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
         assert qfunc(x) == pytest.approx(q_tail(x), rel=1e-12)
     assert qfunc(2.0) == pytest.approx(Q2, rel=1e-12)
+    # a float for a scalar, an array of the input's shape otherwise
+    assert type(qfunc(1.0)) is float and type(qfunc(np.float64(1.0))) is float
+    x = np.array([[0.0, 1.0, 2.0], [4.0, 8.0, 37.0]])
+    out = qfunc(x)
+    assert out.shape == x.shape and out.dtype == np.float64
+    assert out.tolist() == [[qfunc(v) for v in row] for row in x.tolist()]
+    assert out == pytest.approx(np.vectorize(q_tail)(x), rel=1e-12)
+    assert qfunc(np.array([])).shape == (0,)
 
 
 def test_high_noise_prob_values():

@@ -42,6 +42,27 @@ def test_gen_reports_divisibility_error(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+def test_gen_names_acceptance_rate_at_large_check_degree(tmp_path, capsys):
+    # at d_c = 11 a sample is simple with probability about exp(-10); seed 0
+    # exhausts the resamples
+    code = main(["gen", "--n", "44", "--dv", "3", "--dc", "11",
+                 "--seed", "0", "--out", str(tmp_path / "x.alist")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no simple (3, 11)-regular graph found in 10000 resamples" in err
+    assert "exp(-(d_v-1)(d_c-1)/2) = 4.5e-05" in err
+    assert "variable-regular graph as alist" in err and "--graph" in err
+    assert not (tmp_path / "x.alist").exists()
+
+
+def test_gen_impossible_degrees_keep_their_error(tmp_path, capsys):
+    code = main(["gen", "--n", "4", "--dv", "3", "--dc", "6",
+                 "--seed", "0", "--out", str(tmp_path / "x.alist")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no simple graph exists" in err and "exp(" not in err
+
+
 def test_decode_noiseless(tmp_path, capsys):
     g = generate_regular(8, 3, 4, seed=2)
     gp = write_graph(tmp_path, g)

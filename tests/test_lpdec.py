@@ -22,7 +22,7 @@ from lpldpc import (
     transmit_awgn,
 )
 from lpldpc.gf2 import nullspace_basis, rank
-from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS
+from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS, _parity_ok
 
 from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
@@ -114,6 +114,20 @@ def test_membership_matches_row_oracle(data):
     g = data.draw(irregular_graphs(max_degree=10))
     w = data.draw(cube_points(g.n))
     assert membership(g, w) == membership_by_rows(g, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parity_ok_matches_dense_syndrome(data):
+    # degree-0 checks included; bits are floats, as lp_decode rounds them
+    g = data.draw(irregular_graphs(max_degree=8))
+    h = g.parity_check_matrix().astype(np.int64)
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)))
+    assert _parity_ok(g, bits.astype(float)) == (not ((h @ bits) % 2).any())
+    basis = nullspace_basis(h.astype(np.uint8)).astype(np.int64)
+    coeffs = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(basis),
+                                         max_size=len(basis))), dtype=np.int64)
+    assert _parity_ok(g, ((coeffs @ basis) % 2).astype(float))
 
 
 def test_lp_solve_examples(single_check):

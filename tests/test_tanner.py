@@ -24,6 +24,7 @@ from oracles import (
     bfs_tiers_by_queue,
     floyd_warshall_distances,
     generate_regular_by_unique,
+    parse_alist_by_tokens,
     tanner_views_by_loops,
 )
 
@@ -360,6 +361,65 @@ def test_parse_malformed_bytes_raises_only_alist_error(data):
     except AlistError:
         return
     assert parse_alist(emit_alist(g)) == g  # a mutation may leave a valid file
+
+
+# Separators where str.splitlines() breaks a line, and further blanks where
+# str.split() splits tokens, and tokens of 19 or more digits, some of them
+# below 10**18 by leading zeros.
+_LINE_BREAKS = [b"\n", b"\r", b"\r\n", b"\f", b"\v", b"\x1c", b"\x1d", b"\x1e"]
+_BLANKS = [b" ", b"\t", b"\x1f", b"  "]
+_LONG_TOKENS = [b"99999999999999999999999", b"1000000000000000000", b"999999999999999999",
+                b"0000000000000000000000003", b"9223372036854775808", b"18446744073709551617"]
+
+
+@st.composite
+def _respaced_alist(draw):
+    """An alist file, valid or mutated, with its line breaks and blanks
+    swapped for others and long tokens written into it."""
+    data = draw(st.one_of(st.builds(lambda g: emit_alist(g).encode(),
+                                    irregular_graphs(max_degree=6)), _malformed_alist()))
+    data = data.replace(b"\n", b"\0").replace(b" ", b"\1")
+    parts = []
+    for byte in data:
+        if byte == 0:
+            byte = draw(st.sampled_from(_LINE_BREAKS))
+        elif byte == 1:
+            byte = draw(st.sampled_from(_BLANKS))
+        else:
+            byte = bytes([byte])
+        parts.append(byte)
+    data = bytearray(b"".join(parts))
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(data)))
+        data[pos:pos] = draw(st.sampled_from(_LONG_TOKENS + _BLANKS + _LINE_BREAKS))
+    return bytes(data)
+
+
+def _parse_outcome(parse, data):
+    try:
+        g = parse(data)
+    except AlistError as exc:
+        return "AlistError", str(exc)
+    return "ok", g.n, g.m, *(getattr(g, name).tolist() for name in
+                             ("check_indptr", "check_indices", "var_indptr", "var_indices"))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(data=st.one_of(_malformed_alist(), st.binary(max_size=40), _respaced_alist()))
+@example(data=SINGLE_CHECK_ALIST.replace("\n", "\r\n").encode())
+@example(data=SINGLE_CHECK_ALIST.replace("1 3\n", "99999999999999999999 3\n").encode())
+@example(data=SINGLE_CHECK_ALIST.replace("1 3\n", "99999999999999999999 3\n")
+         .replace("1 1 1\n", "100000000000000000000 1 1\n").encode())  # beyond a long maximum
+@example(data=SINGLE_CHECK_ALIST.replace("1 3\n", "99999999999999999999 3\n")
+         .replace("1 1 1\n", "10000000000000000000 1 1\n").encode())  # within it
+@example(data=SINGLE_CHECK_ALIST.replace("1 2 3", "1 2 0000000000000000000000003").encode())
+@example(data=b"99999999999999999999 0\n1 1\n1\n1\n")
+@example(data=b"3 1\x1c1 3\x1d1\x1f1 1\x1e3\f1\v1\r1\n1 2 x3\n")
+def test_parse_matches_per_token_parser(data):
+    # bytes, and the same document as text (where a byte >= 128 is a
+    # non-ASCII character): an equal graph, or the same AlistError message
+    for doc in (data, data.decode("latin-1")):
+        assert _parse_outcome(parse_alist, doc) == _parse_outcome(parse_alist_by_tokens, doc)
 
 
 def _outcome(fn, *errors):

@@ -26,7 +26,7 @@ from lpldpc import (
     witness_search,
 )
 from lpldpc import ChannelParams, EdgeWeights, normalized_llr, simplex, transmit_awgn
-from lpldpc.witness import DEAD_BAND, ParameterError
+from lpldpc.witness import DEAD_BAND, ParameterError, _verify_matching
 
 from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
@@ -274,6 +274,27 @@ def test_matching_matches_max_flow_oracle_on_var_regular_graphs(data):
     _assert_matching_matches_oracle(g, u, udot, params)
 
 
+def test_verify_matching_rejects_invalid_edge_sets():
+    # v0 at checks 0 and 2, v1 at 0 and 1, v2 at 1 and 2, v3 at none: the
+    # edge keys var * 3 + check are 0, 2, 3, 4, 7, 8
+    g = TannerGraph(4, [[0, 1], [1, 2], [0, 2]])
+    params = tiny_params(2, 1)
+    u = {0, 1}
+    assert _verify_matching(g, {(0, 0), (1, 1)}, u, set(), params)
+    assert _verify_matching(g, set(), set(), set(), params)
+    for edges in ({(0, 1), (1, 0)},  # key 1 falls between two edges
+                  {(0, 0), (1, 2)},  # key 5 likewise
+                  {(0, 0), (1, 1), (3, 2)},  # key 11 lies past the last edge
+                  {(0, 0), (1, 1), (4, 0)}, {(0, 0), (1, 1), (-1, 2)},  # variable range
+                  {(0, 0), (1, 1), (2, 3)}, {(0, 0), (1, 1), (2, -1)},  # check range
+                  {(0, 0), (1, 0)},  # check 0 serves two variables
+                  {(0, 0)}):  # v1 gets no check
+        assert not _verify_matching(g, edges, u, set(), params), edges
+    empty = TannerGraph(2, [[]])
+    assert _verify_matching(empty, set(), set(), set(), params)
+    assert not _verify_matching(empty, {(0, 0)}, set(), set(), params)
+
+
 def test_matching_augments_along_a_long_chain():
     # v_k holds checks k and k + 1 (k < K), v_K only check 0. Taken in order,
     # v_k takes check k, so v_K's unit shifts every v_k to check k + 1: one
@@ -417,6 +438,10 @@ def test_stopping_core_matches_queue_peel(g):
     core = stopping_core(g)
     want, order = stopping_core_by_queue(g)
     assert core.dtype == bool and core.shape == (g.n,)
+    # cached per graph, an equal one built apart included, and read-only
+    assert stopping_core(g) is core and stopping_core(TannerGraph(g.n, g.check_nbrs)) is core
+    with pytest.raises(ValueError):
+        core[0] = True
     assert np.flatnonzero(core).tolist() == want
     # no check sees the core exactly once, so it is a stopping set ...
     for nbrs in g.check_nbrs:
