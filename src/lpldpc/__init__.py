@@ -65,12 +65,9 @@ from .tanner import (
     bfs_tiers,
     emit_alist,
     generate_regular,
-    neighbor_set,
     parse_alist,
 )
 from .witness import (
-    DeltaMatching,
-    EdgeWeights,
     ExpansionVerdict,
     FeasibilityVerdict,
     ParameterError,

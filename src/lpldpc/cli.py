@@ -17,16 +17,22 @@ import numpy as np
 from .channel import MapSpec
 from .lpdec import lp_decode
 from .pseudo import awgnc_pseudoweight, canonical_completion, pseudoweight_bound
-from .simcli import ExperimentConfig, emit_csv, run_pseudo_scan, run_wer, run_witness_rate
+from .simcli import ExperimentConfig, GraphSource, emit_csv, run_pseudo_scan, run_wer, \
+    run_witness_rate
 from .simcli import CellResult, ScanRow, WitnessRateRow
-from .tanner import GenerationError, emit_alist, generate_regular, parse_alist
+from .tanner import GenerationError, emit_alist, generate_regular
 from .witness import ParameterError, boundary_set, check_expansion, derive_params, \
     find_delta_matching, high_noise_set, stopping_core, witness_search
 
 
+# ``sim`` subcommands: the driver of each mode and its CSV row type.
+_SIM_RUNNERS = {"wer": (run_wer, CellResult),
+               "pseudo-scan": (run_pseudo_scan, ScanRow),
+               "witness-rate": (run_witness_rate, WitnessRateRow)}
+
+
 def _load_graph(path):
-    with open(path, "rb") as fh:
-        return parse_alist(fh.read())
+    return GraphSource(path=path).load()
 
 
 def _load_llr(path, n):
@@ -93,7 +99,7 @@ def _cmd_witness(args):
     u = high_noise_set(lamp)
     print(f"s_star {s_star!r}")
     print(f"core {np.count_nonzero(stopping_core(g))} of {g.n} variables")
-    print("U " + (" ".join(str(i) for i in sorted(u)) or "(empty)"))
+    print("U " + (" ".join(map(str, np.flatnonzero(u).tolist())) or "(empty)"))
     vd = g.var_degrees
     if vd.min() != vd.max():
         print("proof parameters n/a (graph is not variable-regular)")
@@ -105,12 +111,12 @@ def _cmd_witness(args):
         return 0
     print(f"kappa_interval ({params.kappa_lo!r}, {params.kappa_hi!r})")
     udot = boundary_set(g, u, params)
-    print("Udot " + (" ".join(str(i) for i in sorted(udot)) or "(empty)"))
-    matching = find_delta_matching(g, u, udot, params)
-    if matching is None:
+    print("Udot " + (" ".join(map(str, np.flatnonzero(udot).tolist())) or "(empty)"))
+    owner = find_delta_matching(g, u, udot, params)
+    if owner is None:
         print("matching none")
     else:
-        print(f"matching found ({len(matching.edges)} edges)")
+        print(f"matching found ({np.count_nonzero(owner >= 0)} edges)")
     return 0
 
 
@@ -130,11 +136,9 @@ def _cmd_sim(args):
     out = args.out or config.out
     if out is None:
         raise ValueError("no output path: give --out or an 'out' config entry")
-    runner = {"wer": (run_wer, CellResult),
-              "pseudo-scan": (run_pseudo_scan, ScanRow),
-              "witness-rate": (run_witness_rate, WitnessRateRow)}[args.sim_mode]
-    rows = runner[0](config)
-    emit_csv(rows, out, row_type=runner[1])
+    run, row_type = _SIM_RUNNERS[args.sim_mode]
+    rows = run(config)
+    emit_csv(rows, out, row_type=row_type)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -178,7 +182,7 @@ def build_parser():
 
     p = sub.add_parser("sim", help="Monte Carlo experiments to CSV")
     simsub = p.add_subparsers(dest="sim_mode", required=True)
-    for mode in ("wer", "pseudo-scan", "witness-rate"):
+    for mode in _SIM_RUNNERS:
         sp = simsub.add_parser(mode)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="CSV path (overrides the config)")

@@ -359,11 +359,11 @@ def run_witness_rate(config):
             lamp = apply_map(spec, normalized_llr(y, ch))
             u = high_noise_set(lamp)
             udot = boundary_set(g, u, params)
-            matching = find_delta_matching(g, u, udot, params)
+            owner = find_delta_matching(g, u, udot, params)
             built_ok = False
-            if matching is not None:
-                weights = weights_from_matching(g, matching, u, kappa, params)
-                built_ok = check_feasible(g, weights, lamp).ok
+            if owner is not None:
+                tau = weights_from_matching(g, owner, u, kappa, params)
+                built_ok = check_feasible(g, tau, lamp).ok
             s_star = witness_search(g, lamp)
             out = lp_decode(g, lamp)
             success = out.is_zero_codeword()
@@ -377,8 +377,9 @@ def run_witness_rate(config):
                 dead += 1
             if expansion == "verified":
                 an = params.alpha_exp * g.n
-                if len(u) <= (an - 1.0) / (1.0 + params.gamma):
-                    viol += len(u) + len(udot) > an + 1e-9
+                size_u = int(np.count_nonzero(u))  # Python ints keep viol a Python int
+                if size_u <= (an - 1.0) / (1.0 + params.gamma):
+                    viol += size_u + int(np.count_nonzero(udot)) > an + 1e-9
         rows.append(WitnessRateRow(
             sigma2=s2, trials=config.trials, witness_positive=wpos,
             constructive_ok=constructive, lp_success=success_n,

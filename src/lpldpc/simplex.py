@@ -99,17 +99,17 @@ def _set_objective(tab, basis, nonbasic, cost):
         tab[-1] -= cb[r] * tab[r]
 
 
-def _pivot_loop(tab, basis, nonbasic, max_iter, tol, used):
+def _pivot_loop(tab, basis, nonbasic, max_iter, used):
     """Run Bland pivots to optimality; returns total iteration count."""
     rows = tab.shape[0] - 1
     it = used
     while True:
-        candidates = np.flatnonzero(tab[-1, :-1] < -tol)
+        candidates = np.flatnonzero(tab[-1, :-1] < -PIVOT_TOL)
         if candidates.size == 0:
             return it
         s = int(candidates[np.argmin(nonbasic[candidates])])  # Bland: lowest label enters
         column = tab[:rows, s]
-        pos = np.flatnonzero(column > tol)
+        pos = np.flatnonzero(column > PIVOT_TOL)
         if pos.size == 0:
             raise UnboundedError(f"objective unbounded along column {nonbasic[s]}")
         ratios = tab[pos, -1] / column[pos]
@@ -126,7 +126,7 @@ def _pivot_loop(tab, basis, nonbasic, max_iter, tol, used):
             )
 
 
-def _solve_min(c, a, b, max_iter, tol):
+def _solve_min(c, a, b, max_iter):
     m, n = a.shape
     flip = b < 0
     art_rows = np.flatnonzero(flip)
@@ -149,7 +149,7 @@ def _solve_min(c, a, b, max_iter, tol):
         cost1 = np.zeros(n + m + nart)
         cost1[n + m:] = 1.0
         _set_objective(tab, basis, nonbasic, cost1)
-        iters = _pivot_loop(tab, basis, nonbasic, max_iter, tol, iters)
+        iters = _pivot_loop(tab, basis, nonbasic, max_iter, iters)
         if -tab[-1, -1] > FEAS_TOL:
             raise InfeasibleError(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
         # Drive leftover artificials out of the basis; drop rows that turn
@@ -157,7 +157,7 @@ def _solve_min(c, a, b, max_iter, tol):
         keep = np.ones(m + 1, dtype=bool)
         for r in range(m):
             if basis[r] >= n + m:
-                ok = np.flatnonzero((nonbasic < n + m) & (np.abs(tab[r, :-1]) > tol))
+                ok = np.flatnonzero((nonbasic < n + m) & (np.abs(tab[r, :-1]) > PIVOT_TOL))
                 if ok.size:
                     _exchange(tab, basis, nonbasic, r, int(ok[np.argmin(nonbasic[ok])]))
                     iters += 1
@@ -170,7 +170,7 @@ def _solve_min(c, a, b, max_iter, tol):
     cost2 = np.zeros(n + m)
     cost2[:n] = c
     _set_objective(tab, basis, nonbasic, cost2)
-    iters = _pivot_loop(tab, basis, nonbasic, max_iter, tol, iters)
+    iters = _pivot_loop(tab, basis, nonbasic, max_iter, iters)
 
     full = np.zeros(n + m)
     full[basis] = tab[:-1, -1]
@@ -182,7 +182,7 @@ def _solve_min(c, a, b, max_iter, tol):
                       sharpness=float(sharpness))
 
 
-def solve(c, a, b, sense="min", max_iter=MAX_ITER, tol=PIVOT_TOL):
+def solve(c, a, b, sense="min", max_iter=MAX_ITER):
     """Optimize c.x over {A x <= b, x >= 0}.
 
     Returns an LpSolution whose ``x`` is an optimal basic feasible solution
@@ -207,8 +207,8 @@ def solve(c, a, b, sense="min", max_iter=MAX_ITER, tol=PIVOT_TOL):
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("LP data must be finite")
     if sense == "min":
-        return _solve_min(c, a, b, max_iter, tol)
+        return _solve_min(c, a, b, max_iter)
     if sense == "max":
-        sol = _solve_min(-c, a, b, max_iter, tol)
+        sol = _solve_min(-c, a, b, max_iter)
         return dataclasses.replace(sol, value=float(c @ sol.x))
     raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")

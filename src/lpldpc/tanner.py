@@ -21,7 +21,6 @@ __all__ = [
     "emit_alist",
     "generate_regular",
     "bfs_tiers",
-    "neighbor_set",
 ]
 
 # Full resamples of the stub matching before giving up on a simple graph.
@@ -36,6 +35,9 @@ _KIND = bytes(2 if 48 <= b <= 57 else 1 if b in (10, 11, 12, 13, 28, 29, 30)
 # them: a token of _BIG or more is held at _BIG, so int64 sums never overflow.
 _POW10 = np.append(10 ** np.arange(18, dtype=np.int64), 0)
 _BIG = 10 ** 18
+# Longest alist token, in digits: Python's default limit for int() of a
+# decimal string (sys.int_max_str_digits), which counts leading zeros too.
+MAX_TOKEN_DIGITS = 4300
 
 
 class AlistError(ValueError):
@@ -186,7 +188,8 @@ def parse_alist(text):
     ``str.split`` and ``str.splitlines`` split them, and blank lines drop
     out. A token holds unsigned decimal digits only; its value comes from
     the place values of its last 18 digits, and a token of 10**18 or more
-    is held at 10**18 and read exactly wherever it is compared or named.
+    is held at 10**18 and read exactly wherever it is compared or named. A
+    token of more than ``MAX_TOKEN_DIGITS`` digits is an error.
     The checks run per block on arrays and report the first failure in
     document order.
     """
@@ -215,6 +218,11 @@ def parse_alist(text):
     word[1:-1] = kind == 2
     edges = np.flatnonzero(word[1:] != word[:-1])
     starts, ends = edges[::2], edges[1::2]
+    lengths = ends - starts
+    too_long = lengths[lengths > MAX_TOKEN_DIGITS]
+    if too_long.size:
+        raise AlistError(f"integer token of {too_long[0]} digits; "
+                         f"at most {MAX_TOKEN_DIGITS} are read")
     # Line breaks before each token; a "\r\n" counts twice, but the blank
     # line between drops out with the others.
     line = np.cumsum(kind == 1)[starts]
@@ -239,7 +247,6 @@ def parse_alist(text):
     if int(counts[3]) != m:
         raise AlistError(f"expected {m} check degrees, got {counts[3]}")
 
-    lengths = ends - starts
     at = np.flatnonzero(word[1:-1])
     place = np.repeat(ends - 1, lengths) - at  # digits to the right
     vals = np.add.reduceat((buf[at] - 48) * _POW10[np.minimum(place, 18)],
@@ -389,13 +396,3 @@ def bfs_tiers(g, root):
         )
     num_tiers = int(max(var_tier.max(), check_tier.max()))
     return BfsTiers(root=int(root), var_tier=var_tier, check_tier=check_tier, num_tiers=num_tiers)
-
-
-def neighbor_set(g, variables):
-    """Union of check neighborhoods over a set of variable indices."""
-    out = set()
-    for i in variables:
-        if not 0 <= i < g.n:
-            raise ValueError(f"variable index {i} out of range [0, {g.n})")
-        out.update(g.var_indices[g.var_indptr[i]:g.var_indptr[i + 1]].tolist())
-    return out

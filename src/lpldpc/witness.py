@@ -33,13 +33,10 @@ import numpy as np
 
 from . import simplex
 from .channel import qfunc
-from .tanner import neighbor_set
 
 __all__ = [
     "ParameterError",
     "ProofParams",
-    "DeltaMatching",
-    "EdgeWeights",
     "ExpansionVerdict",
     "FeasibilityVerdict",
     "SigmaBudget",
@@ -147,14 +144,22 @@ def derive_params(w, d_v, delta_hat=None, alpha_exp=None):
 
 
 def high_noise_set(lamp):
-    """Indices with modified LLR strictly below 1/2."""
-    lamp = np.asarray(lamp, dtype=float)
-    return frozenset(np.flatnonzero(lamp < 0.5).tolist())
+    """Mask of the variables whose modified LLR is strictly below 1/2."""
+    return np.asarray(lamp, dtype=float) < 0.5
 
 
 def _require_var_regular(g, d_v):
     if (g.var_degrees != d_v).any():
         raise ValueError(f"graph must have uniform variable degree {d_v}")
+
+
+def _require_mask(g, mask, name):
+    mask = np.asarray(mask)
+    if mask.shape != (g.n,) or mask.dtype != bool:
+        raise ValueError(
+            f"{name} must be a length-{g.n} boolean mask, got {mask.dtype} of shape {mask.shape}"
+        )
+    return mask
 
 
 def _edge_vars(g):
@@ -163,14 +168,15 @@ def _edge_vars(g):
 
 
 def boundary_set(g, u, params):
-    """Variables outside U whose neighborhoods overlap N(U) in more than
-    (1 - delta') d_v checks."""
+    """Mask of the variables outside the mask ``u`` whose checks overlap N(U)
+    in more than (1 - delta') d_v places."""
     _require_var_regular(g, params.d_v)
-    nu = neighbor_set(g, u)
-    ptr, checks = g.var_indptr.tolist(), g.var_indices.tolist()
-    threshold = params.d_v - params.delta_prime_dv  # (1 - delta') d_v, exact
-    return frozenset(i for i in range(g.n)
-                     if i not in u and len(nu.intersection(checks[ptr[i]:ptr[i + 1]])) > threshold)
+    u = _require_mask(g, u, "U")
+    edge_var = _edge_vars(g)
+    near = np.zeros(g.m, dtype=bool)  # N(U)
+    near[g.var_indices[u[edge_var]]] = True
+    overlap = np.bincount(edge_var[near[g.var_indices]], minlength=g.n)
+    return ~u & (overlap > params.d_v - params.delta_prime_dv)  # (1 - delta') d_v, exact
 
 
 @dataclass(frozen=True)
@@ -219,61 +225,58 @@ def check_expansion(g, beta_exp, s_max):
                             required=None, subsets_checked=checked)
 
 
-@dataclass(frozen=True)
-class DeltaMatching:
-    """Check-disjoint edge set giving delta*d_v edges to every high-noise
-    variable and delta'*d_v to every boundary variable."""
-
-    edges: frozenset
+def _is_owner(g, owner):
+    """Whether ``owner`` names one variable, or -1, for every check."""
+    return (owner.shape == (g.m,) and owner.dtype.kind in "iu"
+            and owner.min() >= -1 and owner.max() < g.n)
 
 
-def _verify_matching(g, m_edges, u, udot, params):
-    edges = np.array(list(m_edges), dtype=np.int64).reshape(-1, 2)
-    var, check = edges[:, 0], edges[:, 1]
-    if ((var < 0) | (var >= g.n) | (check < 0) | (check >= g.m)).any():
+def _verify_matching(g, owner, need):
+    """True when ``owner`` gives each check to a variable at that check, or
+    to none (-1), and at least ``need[i]`` checks to every variable i."""
+    if not _is_owner(g, owner):
         return False
+    check = np.flatnonzero(owner >= 0)
+    var = owner[check]
     # The edge keys ascend (variable-major, each variable's checks
     # ascending); a key past the last one meets the sentinel -1.
     keys, wanted = _edge_vars(g) * g.m + g.var_indices, var * g.m + check
     if not np.array_equal(np.append(keys, -1)[np.searchsorted(keys, wanted)], wanted):
         return False
-    if (np.bincount(check, minlength=g.m) > 1).any():
-        return False
-    per_var = np.bincount(var, minlength=g.n)
-    return bool((per_var[list(u)] >= params.delta_dv).all()
-                and (per_var[list(udot)] >= params.delta_prime_dv).all())
+    return bool((np.bincount(var, minlength=g.n) >= need).all())
 
 
 def find_delta_matching(g, u, udot, params):
     """Search for a matching by augmenting paths; None when none exists.
 
-    Each high-noise variable needs delta*d_v checks and each boundary
-    variable delta'*d_v, and no check may serve two variables. Needs are met
-    one check at a time: a breadth-first search from the variable goes from
-    each variable to its checks, and from a held check to its holder, until
-    it reaches a free check; each variable on that path then moves to the
-    next check. This is augmenting-path max flow with the source and sink
-    left implicit. A variable that finds no path now finds none later
-    either, so the answer is None exactly when the needs cannot all be met.
-    The search keeps its own queue, so the path length is not bounded by
-    the recursion limit. The returned matching is re-verified against its
-    three defining conditions.
+    ``u`` and ``udot`` are the boolean masks of the high-noise and boundary
+    variables. Each high-noise variable needs delta*d_v checks and each
+    boundary variable delta'*d_v, and no check may serve two variables. The
+    matching is returned as ``owner``: the variable holding each check, -1
+    for a free check. Needs are met one check at a time: a breadth-first
+    search from the variable goes from each variable to its checks, and from
+    a held check to its holder, until it reaches a free check; each variable
+    on that path then moves to the next check. This is augmenting-path max
+    flow with the source and sink left implicit. A variable that finds no
+    path now finds none later either, so the answer is None exactly when the
+    needs cannot all be met. The search keeps its own queue, so the path
+    length is not bounded by the recursion limit. The returned matching is
+    re-verified against the graph and the needs.
     """
-    u = frozenset(u)
-    udot = frozenset(udot)
-    if u & udot:
+    u, udot = _require_mask(g, u, "U"), _require_mask(g, udot, "Udot")
+    if (u & udot).any():
         raise ValueError("high-noise and boundary sets must be disjoint")
-    need = {i: max(params.delta_dv, 0) for i in u}
-    need.update({i: max(params.delta_prime_dv, 0) for i in udot})
-    required = sum(need.values())
+    per_u, per_udot = max(params.delta_dv, 0), max(params.delta_prime_dv, 0)
+    required = np.count_nonzero(u) * per_u + np.count_nonzero(udot) * per_udot
     if required == 0:
-        return DeltaMatching(frozenset())
+        return np.full(g.m, -1, dtype=np.int64)
     if required > g.m:
         return None
+    need = u * per_u + udot * per_udot
 
     ptr, nbrs = g.var_indptr.tolist(), g.var_indices.tolist()
     owner = [-1] * g.m  # variable holding each check
-    for root in sorted(need):
+    for root in np.flatnonzero(need).tolist():
         for _ in range(need[root]):
             back = {root: (None, None)}  # variable -> (check it came through, previous variable)
             queue = deque([root])
@@ -295,41 +298,32 @@ def find_delta_matching(g, u, udot, params):
                 owner[j] = v
                 j, v = back[v]
 
-    edges = frozenset((v, j) for j, v in enumerate(owner) if v >= 0)
-    if not _verify_matching(g, edges, u, udot, params):
+    owner = np.array(owner, dtype=np.int64)
+    if not _verify_matching(g, owner, need):
         raise RuntimeError("augmenting-path search produced an invalid matching")
-    return DeltaMatching(edges)
+    return owner
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeWeights:
-    """Weights tau on the edges of a graph: ``tau[k]`` is the weight of the
-    k-th edge of ``g.edges()`` (variable-major, checks ascending), the order
-    of the variable-side CSR arrays."""
-
-    tau: np.ndarray
-
-
-def weights_from_matching(g, matching, u, kappa, params):
-    """Constructive assignment: each check matched to a high-noise variable
-    puts -kappa on that edge and +kappa on its other edges; checks matched to
-    boundary variables, and unmatched checks, stay at zero."""
+def weights_from_matching(g, owner, u, kappa, params):
+    """Constructive assignment, one weight per edge in ``g.edges()`` order:
+    each check whose ``owner`` is a high-noise variable (mask ``u``) puts
+    -kappa on that edge and +kappa on its other edges; checks held by
+    boundary variables, and free checks, stay at zero."""
     if not params.kappa_lo < kappa < params.kappa_hi:
         raise ValueError(
             f"kappa must lie strictly inside ({params.kappa_lo:.6g}, {params.kappa_hi:.6g})"
         )
-    u = frozenset(u)
-    # The high-noise variable matched to each check. A valid matching uses a
-    # check at most once, so the order of the edges does not matter.
-    holder = np.full(g.m, -1)
-    for i, j in matching.edges:
-        if i in u:
-            holder[j] = i
-    held = holder[g.var_indices]
+    u = _require_mask(g, u, "U")
+    owner = np.asarray(owner)
+    if not _is_owner(g, owner):
+        raise ValueError(f"owner must hold one integer in -1..{g.n - 1} for each of "
+                         f"{g.m} checks, got {owner.dtype} of shape {owner.shape}")
+    held = owner[g.var_indices]  # the holder of each edge's check
+    by_u = (held >= 0) & u[held]
     tau = np.zeros(g.num_edges)
-    tau[held >= 0] = kappa
-    tau[held == _edge_vars(g)] = -kappa
-    return EdgeWeights(tau)
+    tau[by_u] = kappa
+    tau[by_u & (held == _edge_vars(g))] = -kappa
+    return tau
 
 
 @dataclass(frozen=True)
@@ -340,18 +334,19 @@ class FeasibilityVerdict:
     bad_check: int | None
 
 
-def check_feasible(g, weights, lamp):
+def check_feasible(g, tau, lamp):
     """Verify both witness conditions; the margin is min_i (llr_i - sum tau).
 
     Pairwise sums at a check are non-negative iff its two smallest weights
     sum to >= 0; ``bad_check`` is the lowest check where they do not. The
     per-variable condition is strict, so the verdict passes only when the
-    margin is positive. ``weights.tau`` must hold one weight per edge.
+    margin is positive. ``tau`` must hold one weight per edge, in
+    ``g.edges()`` order.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
-    tau = np.asarray(weights.tau, dtype=float)
+    tau = np.asarray(tau, dtype=float)
     if tau.shape != (g.num_edges,):
         raise ValueError(
             f"weights must cover exactly the edge set of the graph: "

@@ -432,6 +432,7 @@ def parse_alist_by_tokens(text):
     tokenizer: per line and per token in Python, with the same checks in the
     same order, so it returns an equal graph or raises the same AlistError."""
     from lpldpc import AlistError, TannerGraph
+    from lpldpc.tanner import MAX_TOKEN_DIGITS
 
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -447,7 +448,11 @@ def parse_alist_by_tokens(text):
         if parts:
             if not all(p.isdigit() for p in parts):
                 raise AlistError(f"non-integer token in line {raw!r}")
-            lines.append([int(p) for p in parts])
+            lines.append(parts)
+    for p in (p for parts in lines for p in parts):
+        if len(p) > MAX_TOKEN_DIGITS:
+            raise AlistError(f"integer token of {len(p)} digits; at most {MAX_TOKEN_DIGITS} are read")
+    lines = [[int(p) for p in parts] for parts in lines]
     if len(lines) < 4:
         raise AlistError("truncated file: need header, max degrees and degree lists")
     if len(lines[0]) != 2:

@@ -352,6 +352,10 @@ def test_run_witness_rate_verified_expander(tmp_path):
     (row,) = run_witness_rate(cfg)
     assert row.expansion == "verified"
     assert row.size_bound_violations == 0
+    # counts stay Python ints, not numpy scalars, in the row and its repr
+    assert all(type(getattr(row, name)) is int for name in (
+        "witness_positive", "constructive_ok", "lp_success", "agreement_checked",
+        "agreement", "dead_band", "size_bound_violations"))
     assert row.constructive_ok / row.trials > 0.95
     assert row.agreement == row.agreement_checked
 

@@ -13,7 +13,6 @@ from lpldpc import (
     bfs_tiers,
     emit_alist,
     generate_regular,
-    neighbor_set,
     parse_alist,
 )
 
@@ -259,15 +258,6 @@ def test_bfs_disconnected_reports_nodes():
     assert set(info.value.unreachable_checks) == {1}
 
 
-def test_neighbor_set(single_check):
-    assert neighbor_set(single_check, set()) == set()
-    assert neighbor_set(single_check, {0, 1}) == {0}
-    g = generate_regular(12, 3, 4, seed=2)
-    assert len(neighbor_set(g, {4})) == 3
-    with pytest.raises(ValueError):
-        neighbor_set(g, {99})
-
-
 def test_graph_is_immutable_value():
     g = generate_regular(8, 3, 4, seed=1)
     assert isinstance(g.check_nbrs, tuple)
@@ -300,6 +290,18 @@ def test_parse_accepts_only_ascii_decimal_tokens(token):
     if token.isascii():
         with pytest.raises(AlistError, match="non-integer"):
             parse_alist(bad.encode())
+
+
+@pytest.mark.parametrize("old, new, digits", [
+    ("3 1\n", "9" * 5000 + " 1\n", 5000),  # header
+    ("1 3\n", "9" * 5000 + " 3\n", 5000),  # maximum degree
+    # a degree entry of 4,400 digits, equal to a maximum of 4,300
+    ("1 3\n1 1 1\n", "9" * 4300 + " 3\n" + "0" * 100 + "9" * 4300 + " 1 1\n", 4400),
+], ids=["header", "max-degree", "degree-entry"])
+def test_parse_rejects_tokens_beyond_int_digit_limit(old, new, digits):
+    # int() refuses more than 4300 digits, leading zeros included
+    with pytest.raises(AlistError, match=f"integer token of {digits} digits"):
+        parse_alist(SINGLE_CHECK_ALIST.replace(old, new, 1))
 
 
 def test_parse_rejects_non_ascii_text():
@@ -414,6 +416,7 @@ def _parse_outcome(parse, data):
          .replace("1 1 1\n", "10000000000000000000 1 1\n").encode())  # within it
 @example(data=SINGLE_CHECK_ALIST.replace("1 2 3", "1 2 0000000000000000000000003").encode())
 @example(data=b"99999999999999999999 0\n1 1\n1\n1\n")
+@example(data=SINGLE_CHECK_ALIST.replace("1 3\n", "9" * 5000 + " 3\n").encode())
 @example(data=b"3 1\x1c1 3\x1d1\x1f1 1\x1e3\f1\v1\r1\n1 2 x3\n")
 def test_parse_matches_per_token_parser(data):
     # bytes, and the same document as text (where a byte >= 128 is a
