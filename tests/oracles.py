@@ -449,9 +449,9 @@ def parse_alist_by_tokens(text):
             if not all(p.isdigit() for p in parts):
                 raise AlistError(f"non-integer token in line {raw!r}")
             lines.append(parts)
-    for p in (p for parts in lines for p in parts):
-        if len(p) > MAX_TOKEN_DIGITS:
-            raise AlistError(f"integer token of {len(p)} digits; at most {MAX_TOKEN_DIGITS} are read")
+    too_long = [len(p) for parts in lines for p in parts if len(p) > MAX_TOKEN_DIGITS]
+    if too_long:
+        raise AlistError(f"integer token of {too_long[0]} digits; at most {MAX_TOKEN_DIGITS} are read")
     lines = [[int(p) for p in parts] for parts in lines]
     if len(lines) < 4:
         raise AlistError("truncated file: need header, max degrees and degree lists")
