@@ -74,6 +74,8 @@ def _cmd_decode(args):
     else:
         print("vertex " + " ".join(repr(float(v)) for v in out.vertex))
     print(f"objective {out.objective!r}")
+    print(f"uniqueness {out.stats['uniqueness']}")
+    print(f"pivots {out.stats['main_pivots']} {out.stats['probe_pivots']}")
     return 0
 
 

@@ -10,8 +10,9 @@ together with the box 0 <= x <= 1. Decoding maximizes the signal-domain
 correlation sum((1 - 2 x_i) * llr_i), equivalently minimizes llr . x over
 the polytope.
 
-Only LP decoding builds these rows, so only it is bound by MAX_CHECK_DEGREE;
-membership finds each check's most violated row of every size by a sort.
+Only LP decoding builds these rows, so only it is bound by MAX_CHECK_DEGREE,
+even for a decode settled by its hard decision without solving; membership
+finds each check's most violated row of every size by a sort.
 """
 
 from __future__ import annotations
@@ -127,9 +128,11 @@ class DecodeOutcome:
     with different support exists; counted as a failure). ``objective`` is
     the signal-domain correlation at the optimum. ``stats`` explains how the
     outcome was reached and is never written to CSVs: ``uniqueness`` is
-    ``certified`` (read from the final tableau) or ``probed`` (the face
-    probe ran), with the pivot counts ``main_pivots`` and ``probe_pivots``
-    (0 when certified).
+    ``hard_decision`` (the LLR signs form a codeword that is the unique
+    optimum; no LP was solved), ``certified`` (read from the final tableau)
+    or ``probed`` (the face probe ran), with the pivot counts
+    ``main_pivots`` and ``probe_pivots`` (both 0 for a hard decision, the
+    probe's 0 when certified).
     """
 
     status: str
@@ -157,7 +160,19 @@ def lp_decode(g, lamp):
 
     The objective is max-normalized before solving, which makes the pivot
     path (hence the outcome) invariant under positive scaling of the input.
-    Whether the optimum is unique is then settled in one of two ways.
+
+    Hard decision: when h = [lamp < 0] is a codeword and
+    TIE_FACE_EPS <= INTEGRALITY_TOL * min|cn| for the normalized cost cn,
+    h is returned as the unique optimum and no LP is solved (the ML
+    certificate of Feldman, Wainwright & Karger). For x in the polytope,
+    cn.x - cn.h = sum |cn_i| |x_i - h_i| >= min|cn| * max|x - h|, since x
+    lies in the unit box and h_i = 1 exactly where cn_i < 0. So h is
+    optimal, and the face probe could not move beyond
+    TIE_FACE_EPS / min|cn| <= INTEGRALITY_TOL: the certificate below with
+    sharpness min|cn|. A zero or near-zero LLR goes to the LP.
+
+    Otherwise the LP is solved, and whether its optimum is unique is settled
+    in one of two ways.
 
     Certified: the main solve's sharpness bound (``simplex.LpSolution``)
     puts every feasible point within TIE_FACE_EPS of the optimal value
@@ -179,9 +194,17 @@ def lp_decode(g, lamp):
         raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
     if not np.isfinite(lamp).all():
         raise ValueError("LLR vector must be finite")
-    cons = build_constraints(g)
+    cons = build_constraints(g)  # the degree cap holds even when no LP is solved
     scale = np.abs(lamp).max()
     cn = lamp / scale if scale > 0 else lamp.copy()
+
+    hard = (lamp < 0).astype(float)
+    if TIE_FACE_EPS <= INTEGRALITY_TOL * np.abs(cn).min() and _parity_ok(g, hard):
+        stats = {"uniqueness": "hard_decision", "main_pivots": 0, "probe_pivots": 0}
+        return DecodeOutcome(
+            status="integral", vertex=hard, objective=float(lamp.sum() - 2.0 * (lamp @ hard)),
+            codeword=hard.astype(np.uint8), stats=stats,
+        )
 
     sol = simplex.solve(cn, cons.a, cons.b, sense="min")
     x1 = sol.x

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from lpldpc import emit_alist, generate_regular, parse_alist
+from lpldpc import emit_alist, enumerate_codewords, generate_regular, lp_decode, parse_alist
 from lpldpc.cli import main
 
 from oracles import var_regular_graph
@@ -72,6 +72,28 @@ def test_decode_noiseless(tmp_path, capsys):
     assert "status integral" in out
     assert "codeword 00000000" in out
     assert "objective 8.0" in out
+
+
+def test_decode_reports_uniqueness_and_pivots(tmp_path, capsys):
+    # LLR signs that form a nonzero codeword are decoded without an LP; one
+    # LLR of 1e-9 sends the same word to the LP, whose pivots are printed
+    g = generate_regular(24, 3, 4, seed=3)
+    gp = write_graph(tmp_path, g)
+    word = next(w for w in enumerate_codewords(g) if w.any())
+    lam = np.where(word == 1, -1.0, 1.0) * np.linspace(0.5, 2.0, g.n)
+    assert main(["decode", "--graph", gp, "--llr", write_llr(tmp_path, lam)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status integral"
+    assert lines[1] == "codeword " + "".join(map(str, word))
+    assert lines[3:] == ["uniqueness hard_decision", "pivots 0 0"]
+    lam[np.flatnonzero(word == 0)[0]] = 1e-9
+    assert main(["decode", "--graph", gp, "--llr", write_llr(tmp_path, lam)]) == 0
+    out = lp_decode(g, lam)
+    lines = capsys.readouterr().out.splitlines()
+    assert out.stats["uniqueness"] in ("certified", "probed")
+    assert lines[-2:] == [f"uniqueness {out.stats['uniqueness']}",
+                          f"pivots {out.stats['main_pivots']} {out.stats['probe_pivots']}"]
+    assert out.stats["main_pivots"] > 0
 
 
 def test_decode_with_map_and_comma_file(tmp_path, capsys):

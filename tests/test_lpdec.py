@@ -20,6 +20,7 @@ from lpldpc import (
     normalized_llr,
     simplex,
     transmit_awgn,
+    trial_rng,
 )
 from lpldpc.gf2 import nullspace_basis, rank
 from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS, _parity_ok
@@ -228,12 +229,87 @@ def _assert_same_as_always_probe(g, lamp):
     got = lp_decode(g, lamp)
     want = lp_decode_always_probe(g, lamp)
     assert got.status == want.status
-    assert np.array_equal(got.vertex, want.vertex)
-    assert got.objective == want.objective
     if want.codeword is not None:
         assert np.array_equal(got.codeword, want.codeword)
-    assert got.stats["uniqueness"] in ("certified", "probed")
+    if got.stats["uniqueness"] != "hard_decision":
+        assert got.stats["uniqueness"] in ("certified", "probed")
+        assert np.array_equal(got.vertex, want.vertex)
+        assert got.objective == want.objective
+        return got
+    # The hard decision h is returned exactly; the simplex reaches the same
+    # vertex only up to rounding (about 1e-14 on nonzero codewords).
+    hard = (lamp < 0).astype(float)
+    assert want.status == "integral" and np.array_equal(want.codeword, hard)
+    assert np.array_equal(got.vertex, hard)
+    assert got.objective == float(lamp.sum() - 2.0 * (lamp @ hard))
+    assert np.abs(want.vertex - hard).max() <= 1e-9
+    assert abs(want.objective - got.objective) <= 1e-9 * max(1.0, abs(got.objective))
+    assert got.stats["main_pivots"] == got.stats["probe_pivots"] == 0
     return got
+
+
+def _hard_decision_guard(g, lamp):
+    """Whether the LLR signs form a codeword with every |llr| at least
+    1e-6 max|llr|, by a dense syndrome."""
+    scale = np.abs(lamp).max()
+    if scale == 0 or TIE_FACE_EPS > INTEGRALITY_TOL * (np.abs(lamp) / scale).min():
+        return False
+    h = g.parity_check_matrix().astype(np.int64)
+    return not ((h @ (lamp < 0).astype(np.int64)) % 2).any()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hard_decision_certificate_matches_always_probe(data):
+    # LLR signs follow a random codeword, or that word with one bit flipped;
+    # exact zeros and magnitudes of 1e-7 * max break the guard and send the
+    # decode to the LP, 1e-5 * max keeps it
+    g = data.draw(irregular_graphs(max_degree=6))
+    words = enumerate_codewords(g)
+    word = words[data.draw(st.integers(0, len(words) - 1))].copy()
+    if data.draw(st.booleans()):
+        word[data.draw(st.integers(0, g.n - 1))] ^= 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mags = rng.uniform(0.1, 2.0, size=g.n)
+    small = rng.random(g.n) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    mags[small] = data.draw(st.sampled_from([0.0, 1e-7, 1e-5])) * mags.max()
+    lamp = np.where(word == 1, -mags, mags)
+    got = _assert_same_as_always_probe(g, lamp)
+    assert (got.stats["uniqueness"] == "hard_decision") == _hard_decision_guard(g, lamp)
+
+
+def test_hard_decision_needs_every_llr_clear_of_zero(monkeypatch, single_check):
+    # 000 is a codeword in both, but 1e-9 sends the decode to the LP. Alone,
+    # x0 cannot move without x1 or x2, so the probe keeps 000; paired with a
+    # second 1e-9, the edge to 110 is nearly flat and the probe finds a tie.
+    for lamp, status in (([1e-9, 1.0, 1.0], "integral"), ([1e-9, 1e-9, 1.0], "tie")):
+        outs = []
+        calls = recorded_solves(monkeypatch, lambda: outs.append(
+            _assert_same_as_always_probe(single_check, np.array(lamp))))
+        assert outs[0].status == status
+        assert outs[0].stats["uniqueness"] == "probed" and len(calls) == 4
+
+
+def test_hard_decision_decodes_a_nonzero_codeword_without_solving(monkeypatch):
+    g = generate_regular(24, 3, 4, seed=3)
+    word = next(w for w in enumerate_codewords(g) if w.any())
+    lamp = np.where(word == 1, -1.0, 1.0) * np.linspace(0.5, 2.0, g.n)
+    outs = []
+    assert recorded_solves(monkeypatch, lambda: outs.append(lp_decode(g, lamp))) == []
+    out, = outs
+    assert out.status == "integral" and np.array_equal(out.codeword, word)
+    assert np.array_equal(out.vertex, word.astype(float))
+    assert out.objective == np.abs(lamp).sum()
+    assert out.stats == {"uniqueness": "hard_decision", "main_pivots": 0, "probe_pivots": 0}
+    _assert_same_as_always_probe(g, lamp)
+
+
+def test_hard_decision_keeps_the_check_degree_cap():
+    # all-positive LLRs: the zero codeword is the hard decision, yet the
+    # decoder still refuses a check of degree 17
+    g = TannerGraph(17, [list(range(17))])
+    with pytest.raises(ValueError, match="check degree 17 exceeds cap 16"):
+        lp_decode(g, np.ones(17))
 
 
 @pytest.mark.parametrize("g, lamp, status", [
@@ -297,6 +373,27 @@ def test_runaway_probe_decodes_are_certified(monkeypatch, n, d_c, seed, sigma2, 
     assert main.iterations == pivots
     assert TIE_FACE_EPS <= INTEGRALITY_TOL * main.sharpness
     assert outs[0].stats == {"uniqueness": "certified", "main_pivots": pivots, "probe_pivots": 0}
+
+
+@pytest.mark.parametrize("sigma2, seed, trial", [(0.25, 1, 16), (0.3, 2, 1)])
+def test_runaway_main_solves_take_the_hard_decision(monkeypatch, sigma2, seed, trial):
+    # run_wer trials with random codewords and threshold:1.0 on a (3,4) n=24
+    # graph: the main decode LP finds no optimum under Bland's rule within
+    # 100,000 pivots (2,000 here), but the hard decision is the sent
+    # codeword and settles the decode without it
+    g = generate_regular(24, 3, 4, seed=3)
+    basis = nullspace_basis(g.parity_check_matrix())
+    x = (trial_rng(seed, trial, stream=1).integers(0, 2, basis.shape[0]) @ basis) % 2
+    params = ChannelParams(sigma2)
+    lamp = apply_map(MapSpec.parse("threshold:1.0"),
+                     normalized_llr(transmit_awgn(bpsk(x), params, seed, trial), params))
+    outs = []
+    assert recorded_solves(monkeypatch, lambda: outs.append(lp_decode(g, lamp))) == []
+    assert x.any() and np.array_equal(outs[0].codeword, x)
+    assert outs[0].stats["uniqueness"] == "hard_decision"
+    cons = build_constraints(g)
+    with pytest.raises(simplex.IterationLimitError):
+        simplex.solve(lamp / np.abs(lamp).max(), cons.a, cons.b, max_iter=2000)
 
 
 def test_lp_decode_integral_nonzero(single_check):

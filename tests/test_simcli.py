@@ -20,6 +20,7 @@ from lpldpc import (
     emit_csv,
     emit_alist,
     generate_regular,
+    lp_decode,
     pseudoweight_bound,
     run_pseudo_scan,
     run_wer,
@@ -112,17 +113,34 @@ def test_run_wer_quantization_level_invariance():
 
 
 def test_run_wer_csv_matches_always_probe_decoder(tmp_path, monkeypatch):
-    # Skipping the probe on certified optima changes no tally, and the
-    # decode stats stay out of the CSV.
-    cfg = wer_config(graph={"n": 24, "dv": 3, "dc": 4, "seed": 3},
-                     maps=["trivial", "threshold:1.0", "quantize2:1"],
+    # Skipping the probe on certified optima, and the LP on codeword hard
+    # decisions, changes no tally, and the decode stats stay out of the CSV.
+    # The high-SNR cell sends random nonzero codewords, so their hard
+    # decisions take the certificate.
+    graph = {"n": 24, "dv": 3, "dc": 4, "seed": 3}
+    mid = wer_config(graph=graph, maps=["trivial", "threshold:1.0", "quantize2:1"],
                      sigma2=[0.5, 0.8], trials=20, seed=1)
-    results = run_wer(cfg)
-    assert sum(cell.tie for cell in results) > 0
-    emit_csv(results, tmp_path / "certified.csv")
-    monkeypatch.setattr(simcli, "lp_decode", lp_decode_always_probe)
-    emit_csv(run_wer(cfg), tmp_path / "probed.csv")
-    assert (tmp_path / "certified.csv").read_bytes() == (tmp_path / "probed.csv").read_bytes()
+    high = wer_config(graph=graph, maps=["trivial", "threshold:1.0"],
+                      sigma2=[0.35], trials=20, seed=1, random_codeword=True)
+    uniqueness = []
+
+    def decode(g, lamp):
+        out = lp_decode(g, lamp)
+        uniqueness.append((out.stats["uniqueness"], out.is_integral and out.codeword.any()))
+        return out
+
+    for name, cfg in (("mid", mid), ("high", high)):
+        monkeypatch.setattr(simcli, "lp_decode", decode)
+        results = run_wer(cfg)
+        emit_csv(results, tmp_path / f"{name}-certified.csv")
+        monkeypatch.setattr(simcli, "lp_decode", lp_decode_always_probe)
+        emit_csv(run_wer(cfg), tmp_path / f"{name}-probed.csv")
+        assert ((tmp_path / f"{name}-certified.csv").read_bytes()
+                == (tmp_path / f"{name}-probed.csv").read_bytes())
+        if name == "mid":
+            assert sum(cell.tie for cell in results) > 0
+    assert ("hard_decision", True) in uniqueness
+    assert {"certified", "probed"} <= {kind for kind, _ in uniqueness}
 
 
 def test_run_wer_is_deterministic_and_order_independent():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpldpc import MapSpec, generate_regular, lp_decode, simplex, witness_search
-from lpldpc.lpdec import TIE_FACE_EPS
+from lpldpc.lpdec import TIE_FACE_EPS, build_constraints
 from lpldpc.simplex import (
     MAX_ITER,
     InfeasibleError,
@@ -180,13 +180,30 @@ def _probe_lp(args, sol):
     return away, np.vstack([a, c]), np.append(b, c @ sol.x + TIE_FACE_EPS), "min"
 
 
-def _recorded_lps(g, lamp):
-    """(c, a, b, sense) of every solve that ``lp_decode`` and
-    ``witness_search`` make on ``lamp``, plus the decode's tie probe even
-    when the certificate skips it."""
+def _decode_lp(g, lamp):
+    """The decode LP of ``lamp``, built from the polytope rows and the
+    max-normalized cost; ``lp_decode`` solves it unless the hard decision
+    settles the decode first."""
+    cons = build_constraints(g)
+    scale = np.abs(lamp).max()
+    cn = lamp / scale if scale > 0 else lamp.copy()
+    lp = (cn, cons.a, cons.b, "min")
     with pytest.MonkeyPatch.context() as mp:
-        calls = recorded_solves(mp, lambda: (lp_decode(g, lamp), witness_search(g, lamp)))
-    return [args for args, _ in calls] + [_probe_lp(*calls[0])]
+        calls = recorded_solves(mp, lambda: lp_decode(g, lamp))
+    if calls:
+        (c, a, b, sense), _ = calls[0]
+        assert np.array_equal(c, cn) and a is cons.a and b is cons.b and sense == "min"
+    return lp
+
+
+def _recorded_lps(g, lamp):
+    """(c, a, b, sense) of the decode LP and its tie probe, both built even
+    when ``lp_decode`` skips them, and of every solve ``witness_search``
+    makes on ``lamp``."""
+    lp = _decode_lp(g, lamp)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recorded_solves(mp, lambda: witness_search(g, lamp))
+    return [lp, _probe_lp(lp, solve(*lp))] + [args for args, _ in calls]
 
 
 def _assert_same_path(got, want):
