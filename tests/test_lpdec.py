@@ -287,7 +287,8 @@ def test_hard_decision_needs_every_llr_clear_of_zero(monkeypatch, single_check):
         calls = recorded_solves(monkeypatch, lambda: outs.append(
             _assert_same_as_always_probe(single_check, np.array(lamp))))
         assert outs[0].status == status
-        assert outs[0].stats["uniqueness"] == "probed" and len(calls) == 4
+        assert outs[0].stats["uniqueness"] == "probed"
+        assert len(calls) == 4  # main and probe, in lp_decode and in the oracle
 
 
 def test_hard_decision_decodes_a_nonzero_codeword_without_solving(monkeypatch):
