@@ -41,7 +41,6 @@ __all__ = [
 
 INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-8
-TIE_TOL = 1e-9         # two optima count as tied when their values match this closely
 TIE_FACE_EPS = 1e-12   # slack when probing the optimal face; see lp_decode
 MAX_CHECK_DEGREE = 16  # 2^(d_c - 1) inequalities per check, built for lp_decode
 MAX_DIMENSION = 24     # brute-force codeword enumeration cap
@@ -151,7 +150,7 @@ class DecodeOutcome:
 
 def _parity_ok(g, bits):
     """Whether 0/1 ``bits`` meet every check: each check's sum is even."""
-    sums = np.bincount(g.var_indices, weights=np.repeat(bits, g.var_degrees), minlength=g.m)
+    sums = np.bincount(g.var_indices, weights=bits[g.edge_var], minlength=g.m)
     return not (sums % 2).any()
 
 
@@ -183,10 +182,10 @@ def lp_decode(g, lamp):
 
     Probed: otherwise a second solve over the optimal face maximizes
     distance from the found vertex; if it moves beyond the integrality
-    tolerance, a second optimum exists (values match far inside TIE_TOL) and
-    the instance is classified as a tie. The face carries only a 1e-12
-    buffer: genuine ties sit within float error of the optimum, while a
-    looser face would also sweep up near-tie instances whose optimum is
+    tolerance, a second optimum exists (its value within TIE_FACE_EPS of the
+    first) and the instance is classified as a tie. The face carries only a
+    1e-12 buffer: genuine ties sit within float error of the optimum, while
+    a looser face would also sweep up near-tie instances whose optimum is
     merely shallow.
     """
     lamp = np.asarray(lamp, dtype=float)

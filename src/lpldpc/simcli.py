@@ -275,11 +275,9 @@ def run_pseudo_scan(config):
     from the tier BFS of the first root's completion, one BFS per completion.
     """
     sc = config.scan
-    boundcache = {}
     rows = []
     for ni, n in enumerate(sc.n_values):
-        if n not in boundcache:
-            boundcache[n] = pseudoweight_bound(sc.dv, sc.dc, n).bound
+        bound = pseudoweight_bound(sc.dv, sc.dc, n).bound
         for gi in range(sc.graphs_per_n):
             rng = trial_rng(config.seed, ni * 10_000 + gi, stream=2)
             picks = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
@@ -301,7 +299,7 @@ def run_pseudo_scan(config):
                 rows.append(ScanRow(
                     n=n, dv=sc.dv, dc=sc.dc, graph_seed=gseed, root=root,
                     alpha=alpha, pseudoweight=awgnc_pseudoweight(pcw),
-                    bound=boundcache[n],
+                    bound=bound,
                 ))
     return rows
 
@@ -348,6 +346,7 @@ def run_witness_rate(config):
         expansion = "verified" if verdict.ok else "assumed"
         params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
     kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
+    params.require_kappa(kappa)  # before the first trial, which may find no matching
     zeros_bar = bpsk(np.zeros(g.n, dtype=np.uint8))
 
     rows = []

@@ -72,12 +72,16 @@ class TannerGraph:
     variables are ``check_indices[check_indptr[j]:check_indptr[j + 1]]`` in
     construction order, and variable i's checks are
     ``var_indices[var_indptr[i]:var_indptr[i + 1]]`` in ascending order.
-    ``check_nbrs`` and ``var_nbrs`` are tuple views built from these arrays
-    on each access. Parallel edges are rejected. Instances are safe to share
-    across threads.
+    Next to them sit the read-only int64 arrays ``var_degrees``,
+    ``check_degrees`` and ``edge_var``, the variable of each edge in
+    ``edges()`` order: edge k joins variable ``edge_var[k]`` and check
+    ``var_indices[k]``. ``check_nbrs`` and ``var_nbrs`` are tuple views built
+    from these arrays on each access. Parallel edges are rejected. Instances
+    are safe to share across threads.
     """
 
-    __slots__ = ("n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices")
+    __slots__ = ("n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices",
+                 "var_degrees", "check_degrees", "edge_var")
 
     def __init__(self, n, check_nbrs):
         n = int(n)
@@ -101,7 +105,8 @@ class TannerGraph:
         """Validate and store fresh int64 check-side CSR arrays; returns self.
         A range error names the entry of ``rows``, which ``var_of`` may clamp."""
         m, size = check_indptr.size - 1, var_of.size
-        check_of = np.repeat(np.arange(m, dtype=np.int64), np.diff(check_indptr))
+        check_degrees = np.diff(check_indptr)
+        check_of = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
         # Stable by variable: each variable's edges stay in row-major order, so
         # its checks ascend and a repeated edge sits next to its first copy.
         order = np.argsort(var_of, kind="stable")
@@ -117,13 +122,17 @@ class TannerGraph:
             if bad.size and bad[0] == first:
                 raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
             raise ValueError(f"duplicate edge between variable {i} and check {j}")
+        var_degrees = np.bincount(var_of, minlength=n)
         var_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(var_of, minlength=n), out=var_indptr[1:])
+        np.cumsum(var_degrees, out=var_indptr[1:])
         self.n = n
         self.m = m
         self.check_indptr, self.check_indices = check_indptr, var_of
         self.var_indptr, self.var_indices = var_indptr, var_check
-        for arr in (check_indptr, var_of, var_indptr, var_check):
+        self.var_degrees, self.check_degrees = var_degrees, check_degrees
+        self.edge_var = var_sorted
+        for arr in (check_indptr, var_of, var_indptr, var_check,
+                    var_degrees, check_degrees, var_sorted):
             arr.flags.writeable = False
         return self
 
@@ -151,14 +160,6 @@ class TannerGraph:
     def num_edges(self):
         return int(self.check_indices.size)
 
-    @property
-    def var_degrees(self):
-        return np.diff(self.var_indptr)
-
-    @property
-    def check_degrees(self):
-        return np.diff(self.check_indptr)
-
     def regular_degrees(self):
         """(d_v, d_c) when both sides have uniform degree, else None."""
         vd, cd = self.var_degrees, self.check_degrees
@@ -168,12 +169,11 @@ class TannerGraph:
 
     def edges(self):
         """All (variable, check) pairs, variable-major, deterministic order."""
-        return tuple(zip(np.repeat(np.arange(self.n), self.var_degrees).tolist(),
-                         self.var_indices.tolist()))
+        return tuple(zip(self.edge_var.tolist(), self.var_indices.tolist()))
 
     def parity_check_matrix(self):
         h = np.zeros((self.m, self.n), dtype=np.uint8)
-        h[np.repeat(np.arange(self.m), self.check_degrees), self.check_indices] = 1
+        h[self.var_indices, self.edge_var] = 1
         return h
 
 

@@ -92,6 +92,13 @@ class ProofParams:
     def kappa_mid(self):
         return 0.5 * (self.kappa_lo + self.kappa_hi)
 
+    def require_kappa(self, kappa):
+        """Raise ValueError unless ``kappa`` lies strictly inside the kappa interval."""
+        if not self.kappa_lo < kappa < self.kappa_hi:
+            raise ValueError(
+                f"kappa must lie strictly inside ({self.kappa_lo:.6g}, {self.kappa_hi:.6g})"
+            )
+
 
 def derive_params(w, d_v, delta_hat=None, alpha_exp=None):
     """Fill and validate all proof constants for truncation value ``w``.
@@ -162,20 +169,14 @@ def _require_mask(g, mask, name):
     return mask
 
 
-def _edge_vars(g):
-    """Variable of each edge, in ``g.edges()`` order."""
-    return np.repeat(np.arange(g.n), g.var_degrees)
-
-
 def boundary_set(g, u, params):
     """Mask of the variables outside the mask ``u`` whose checks overlap N(U)
     in more than (1 - delta') d_v places."""
     _require_var_regular(g, params.d_v)
     u = _require_mask(g, u, "U")
-    edge_var = _edge_vars(g)
     near = np.zeros(g.m, dtype=bool)  # N(U)
-    near[g.var_indices[u[edge_var]]] = True
-    overlap = np.bincount(edge_var[near[g.var_indices]], minlength=g.n)
+    near[g.var_indices[u[g.edge_var]]] = True
+    overlap = np.bincount(g.edge_var[near[g.var_indices]], minlength=g.n)
     return ~u & (overlap > params.d_v - params.delta_prime_dv)  # (1 - delta') d_v, exact
 
 
@@ -240,7 +241,7 @@ def _verify_matching(g, owner, need):
     var = owner[check]
     # The edge keys ascend (variable-major, each variable's checks
     # ascending); a key past the last one meets the sentinel -1.
-    keys, wanted = _edge_vars(g) * g.m + g.var_indices, var * g.m + check
+    keys, wanted = g.edge_var * g.m + g.var_indices, var * g.m + check
     if not np.array_equal(np.append(keys, -1)[np.searchsorted(keys, wanted)], wanted):
         return False
     return bool((np.bincount(var, minlength=g.n) >= need).all())
@@ -305,14 +306,12 @@ def find_delta_matching(g, u, udot, params):
 
 
 def weights_from_matching(g, owner, u, kappa, params):
-    """Constructive assignment, one weight per edge in ``g.edges()`` order:
-    each check whose ``owner`` is a high-noise variable (mask ``u``) puts
-    -kappa on that edge and +kappa on its other edges; checks held by
-    boundary variables, and free checks, stay at zero."""
-    if not params.kappa_lo < kappa < params.kappa_hi:
-        raise ValueError(
-            f"kappa must lie strictly inside ({params.kappa_lo:.6g}, {params.kappa_hi:.6g})"
-        )
+    """Constructive assignment, one weight per edge, aligned with
+    ``(g.edge_var, g.var_indices)``: each check whose ``owner`` is a
+    high-noise variable (mask ``u``) puts -kappa on that edge and +kappa on
+    its other edges; checks held by boundary variables, and free checks,
+    stay at zero."""
+    params.require_kappa(kappa)
     u = _require_mask(g, u, "U")
     owner = np.asarray(owner)
     if not _is_owner(g, owner):
@@ -322,7 +321,7 @@ def weights_from_matching(g, owner, u, kappa, params):
     by_u = (held >= 0) & u[held]
     tau = np.zeros(g.num_edges)
     tau[by_u] = kappa
-    tau[by_u & (held == _edge_vars(g))] = -kappa
+    tau[by_u & (held == g.edge_var)] = -kappa
     return tau
 
 
@@ -340,8 +339,8 @@ def check_feasible(g, tau, lamp):
     Pairwise sums at a check are non-negative iff its two smallest weights
     sum to >= 0; ``bad_check`` is the lowest check where they do not. The
     per-variable condition is strict, so the verdict passes only when the
-    margin is positive. ``tau`` must hold one weight per edge, in
-    ``g.edges()`` order.
+    margin is positive. ``tau`` must hold one weight per edge, aligned with
+    ``(g.edge_var, g.var_indices)``.
     """
     lamp = np.asarray(lamp, dtype=float)
     if lamp.shape != (g.n,):
@@ -358,7 +357,7 @@ def check_feasible(g, tau, lamp):
     start = g.check_indptr[pairs]
     bad_checks = pairs[by_check[start] + by_check[start + 1] < -1e-12]
     bad = int(bad_checks[0]) if bad_checks.size else None
-    sums = np.bincount(_edge_vars(g), weights=tau, minlength=g.n)
+    sums = np.bincount(g.edge_var, weights=tau, minlength=g.n)
     margin = float((lamp - sums).min())
     return FeasibilityVerdict(
         ok=bad is None and margin > 0.0, margin=margin,
@@ -379,7 +378,7 @@ def stopping_core(g):
     neighbour it frees. The core depends on the graph alone, so it is
     cached per graph (graphs are immutable), like ``build_constraints``.
     """
-    edge_var, edge_check = _edge_vars(g), g.var_indices
+    edge_var, edge_check = g.edge_var, g.var_indices
     live = np.ones(g.n, dtype=bool)
     while True:
         on = live[edge_var]
@@ -435,10 +434,10 @@ def witness_search(g, lamp):
     core = stopping_core(g)
     if not core.any():
         return float(cap)
-    # core edges in g.edges() order: variable-major, checks ascending. A check
-    # at a core variable has at least two core neighbours, or peeling would
-    # have freed that variable.
-    edge_var, edge_check = _edge_vars(g), g.var_indices
+    # core edges, aligned with (g.edge_var, g.var_indices): variable-major,
+    # checks ascending. A check at a core variable has at least two core
+    # neighbours, or peeling would have freed that variable.
+    edge_var, edge_check = g.edge_var, g.var_indices
     keep = core[edge_var]
     edge_row, edge_check = (np.cumsum(core) - 1)[edge_var[keep]], edge_check[keep]
     rows, ne = np.count_nonzero(core), edge_row.size

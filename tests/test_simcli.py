@@ -378,6 +378,33 @@ def test_run_witness_rate_verified_expander(tmp_path):
     assert row.agreement == row.agreement_checked
 
 
+def test_run_witness_rate_checks_kappa_before_the_first_trial(tmp_path, monkeypatch):
+    # at sigma2 4.0 no trial finds a matching, so no trial builds weights
+    # and only a check ahead of the trials sees an out-of-range kappa
+    path = tmp_path / "g.alist"
+    path.write_text(emit_alist(var_regular_graph(18, 25, 200, seed=3)))
+    cfg = ExperimentConfig.from_json({
+        "mode": "witness-rate",
+        "graph": {"path": str(path)},
+        "maps": ["threshold:1.0"],
+        "sigma2": [4.0],
+        "trials": 4,
+        "seed": 0,
+        "proof": {"w": 1.0, "kappa": 100},
+    })
+    searches = []
+    real_search = simcli.witness_search
+
+    def counting_search(g, lamp):
+        searches.append(1)
+        return real_search(g, lamp)
+
+    monkeypatch.setattr(simcli, "witness_search", counting_search)
+    with pytest.raises(ValueError, match=r"kappa must lie strictly inside \("):
+        run_witness_rate(cfg)
+    assert searches == []
+
+
 def test_emit_csv_round_trip(tmp_path):
     rows = [
         CellResult(map="trivial", sigma2=0.5, trials=7, mismatch=1, fractional=2,

@@ -267,7 +267,8 @@ def test_graph_is_immutable_value():
 def test_graph_stores_only_csr_arrays():
     g = generate_regular(8, 3, 4, seed=1)
     assert set(TannerGraph.__slots__) == {
-        "n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices"}
+        "n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices",
+        "var_degrees", "check_degrees", "edge_var"}
     with pytest.raises(AttributeError):
         g.check_nbrs = ()
     # equal graphs built apart hash alike; the check order matters
@@ -472,12 +473,32 @@ def test_constructor_matches_per_edge_loops(raw):
 
 def test_csr_arrays_are_read_only():
     g = generate_regular(8, 3, 4, seed=1)
-    for arr in (g.check_indptr, g.check_indices, g.var_indptr, g.var_indices):
+    for arr in (g.check_indptr, g.check_indices, g.var_indptr, g.var_indices,
+                g.var_degrees, g.check_degrees, g.edge_var):
         with pytest.raises(ValueError):
             arr[0] = 1
-    degs = g.check_degrees
-    degs[0] = 99  # a fresh array each time
     assert (g.check_degrees == 4).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=st.one_of(
+    irregular_graphs(max_degree=6),
+    irregular_graphs(max_degree=6).map(lambda g: parse_alist(emit_alist(g))),
+    st.builds(lambda k, seed: generate_regular(4 * k, 3, 4, seed),
+              st.integers(1, 6), st.integers(0, 2**32 - 1)),
+))
+@example(g=TannerGraph(3, [[], [0, 2], []]))  # degree-0 checks
+def test_stored_degrees_and_edge_vars_match_the_csr_arrays(g):
+    for stored, want in ((g.check_degrees, np.diff(g.check_indptr)),
+                         (g.var_degrees, np.diff(g.var_indptr)),
+                         (g.edge_var, np.repeat(np.arange(g.n), g.var_degrees))):
+        assert stored.dtype == np.int64
+        assert np.array_equal(stored, want)
+    # the check-side construction of H
+    h = np.zeros((g.m, g.n), dtype=np.uint8)
+    h[np.repeat(np.arange(g.m), np.diff(g.check_indptr)), g.check_indices] = 1
+    got = g.parity_check_matrix()
+    assert got.dtype == np.uint8 and np.array_equal(got, h)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
