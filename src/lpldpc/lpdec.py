@@ -148,6 +148,16 @@ class DecodeOutcome:
         return self.status == "integral" and not self.codeword.any()
 
 
+def _llr_vector(g, lamp):
+    """``lamp`` as a float array; ValueError unless a finite length-n vector."""
+    lamp = np.asarray(lamp, dtype=float)
+    if lamp.shape != (g.n,):
+        raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
+    if not np.isfinite(lamp).all():
+        raise ValueError("LLR vector must be finite")
+    return lamp
+
+
 def _parity_ok(g, bits):
     """Whether 0/1 ``bits`` meet every check: each check's sum is even."""
     sums = np.bincount(g.var_indices, weights=bits[g.edge_var], minlength=g.m)
@@ -188,11 +198,7 @@ def lp_decode(g, lamp):
     a looser face would also sweep up near-tie instances whose optimum is
     merely shallow.
     """
-    lamp = np.asarray(lamp, dtype=float)
-    if lamp.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
-    if not np.isfinite(lamp).all():
-        raise ValueError("LLR vector must be finite")
+    lamp = _llr_vector(g, lamp)
     cons = build_constraints(g)  # the degree cap holds even when no LP is solved
     scale = np.abs(lamp).max()
     cn = lamp / scale if scale > 0 else lamp.copy()
@@ -256,9 +262,7 @@ def ml_decode(g, lamp):
     Returns (codeword, value). Exact ties resolve to the lexicographically
     smallest bit vector.
     """
-    lamp = np.asarray(lamp, dtype=float)
-    if lamp.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
+    lamp = _llr_vector(g, lamp)
     total = lamp.sum()
     best_value = -np.inf
     best_bytes = None

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ __all__ = [
 
 MODES = ("wer", "pseudo-scan", "witness-rate")
 
+# Graphs per size in a pseudo-weight scan: graph gi of size index ni draws its
+# roots from trial index ni * MAX_GRAPHS_PER_N + gi, unique below this cap.
+MAX_GRAPHS_PER_N = 10_000
+
 
 @dataclass(frozen=True)
 class GraphSource:
@@ -65,13 +70,6 @@ class GraphSource:
         if by_path == by_gen:
             raise ValueError("graph source needs either 'path' or all of n/dv/dc/seed")
 
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("graph source must be an object")
-        return cls(path=obj.get("path"), n=obj.get("n"), dv=obj.get("dv"),
-                   dc=obj.get("dc"), seed=obj.get("seed"))
-
     def load(self):
         if self.path is not None:
             with open(self.path, "rb") as fh:
@@ -83,7 +81,7 @@ class GraphSource:
 class ScanSpec:
     """Pseudo-weight scan grid: graph sizes and sampling counts."""
 
-    n_values: tuple
+    n_values: tuple[int, ...]
     dv: int
     dc: int
     graphs_per_n: int = 1
@@ -94,8 +92,9 @@ class ScanSpec:
             raise ValueError("scan needs at least one n value")
         if not 3 <= self.dv < self.dc:
             raise ValueError("scan requires 3 <= dv < dc")
-        if self.graphs_per_n < 1 or self.roots_per_graph < 1:
-            raise ValueError("scan counts must be >= 1")
+        if not (1 <= self.graphs_per_n <= MAX_GRAPHS_PER_N and self.roots_per_graph >= 1):
+            raise ValueError(f"scan needs 1 <= graphs_per_n <= {MAX_GRAPHS_PER_N} "
+                             "and roots_per_graph >= 1")
         for n in self.n_values:
             if n * self.dv % self.dc != 0 or self.dc > n:
                 raise ValueError(
@@ -119,11 +118,11 @@ class ExperimentConfig:
     """One experiment: mode, graph, map list, noise grid, trials, seed."""
 
     mode: str
-    trials: int
-    seed: int
+    trials: int = 1
+    seed: int = 0
     graph: GraphSource | None = None
-    maps: tuple = ()
-    sigma2: tuple = ()
+    maps: tuple[MapSpec, ...] = ()
+    sigma2: tuple[float, ...] = ()
     out: str | None = None
     random_codeword: bool = False
     scan: ScanSpec | None = None
@@ -136,8 +135,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if any(not (math.isfinite(s) and s > 0) for s in self.sigma2):
-            raise ValueError("sigma2 grid entries must be positive")
+        for s2 in self.sigma2:
+            ChannelParams(s2)  # raises unless positive and finite
         if self.mode == "wer":
             if self.graph is None or not self.maps or not self.sigma2:
                 raise ValueError("wer mode needs a graph, at least one map, and a sigma2 grid")
@@ -161,32 +160,56 @@ class ExperimentConfig:
                 obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        cfg_mode = obj.get("mode", mode)
-        if mode is not None and obj.get("mode") not in (None, mode):
-            raise ValueError(f"config mode {obj['mode']!r} conflicts with requested {mode!r}")
-        if cfg_mode is None:
-            raise ValueError("mode missing (give it in the config or on the command line)")
-        scan = obj.get("scan")
-        if scan is not None:
-            scan = ScanSpec(n_values=tuple(scan["n_values"]), dv=scan["dv"], dc=scan["dc"],
-                            graphs_per_n=scan.get("graphs_per_n", 1),
-                            roots_per_graph=scan.get("roots_per_graph", 1))
-        proof = obj.get("proof")
-        if proof is not None:
-            proof = ProofSpec(w=proof.get("w", 1.0), delta_hat=proof.get("delta_hat"),
-                              kappa=proof.get("kappa"), verify_smax=proof.get("verify_smax"))
-        return cls(
-            mode=cfg_mode,
-            trials=obj.get("trials", 1),
-            seed=obj.get("seed", 0),
-            graph=GraphSource.from_json(obj["graph"]) if "graph" in obj else None,
-            maps=tuple(MapSpec.parse(s) for s in obj.get("maps", ())),
-            sigma2=tuple(float(s) for s in obj.get("sigma2", ())),
-            out=obj.get("out"),
-            random_codeword=bool(obj.get("random_codeword", False)),
-            scan=scan,
-            proof=proof,
-        )
+        if mode is not None:
+            if obj.get("mode", mode) != mode:
+                raise ValueError(f"config mode {obj['mode']!r} conflicts with requested {mode!r}")
+            obj = {**obj, "mode": mode}
+        return _read_section(cls, obj, "config")
+
+
+# Per field type: the exact JSON types it takes, their name, a conversion.
+_JSON_TYPES = {int: ({int}, "an integer", int), float: ({int, float}, "a number", float),
+               bool: ({bool}, "a boolean", bool), str: ({str}, "a string", str),
+               MapSpec: ({str}, "a map string", MapSpec.parse)}
+
+
+def _read_section(cls, obj, section):
+    """The dataclass ``cls`` read from the JSON object ``obj`` of config
+    ``section``: one key per field, the field's default where a key is left
+    out. Each value must have its field's JSON type (``_JSON_TYPES``; a list
+    of those for ``tuple[X, ...]``, an object, read as section ``key``, for a
+    dataclass, and null or X for ``X | None``). A wrong type, an unknown key
+    or a missing required one raises ValueError naming the section and key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key in obj:
+        if key not in defaults:
+            raise ValueError(f"{section}: unknown key {key!r}")
+    values = {}
+    for key, tp in typing.get_type_hints(cls).items():
+        if key not in obj:
+            if defaults[key] is dataclasses.MISSING:
+                raise ValueError(f"{section}: missing key {key!r}")
+            continue
+        value = obj[key]
+        if type(None) in typing.get_args(tp):  # X | None
+            if value is None:
+                continue
+            tp = typing.get_args(tp)[0]
+        item = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
+        if item not in _JSON_TYPES:  # a dataclass
+            if type(value) is not dict:
+                raise ValueError(f"{section}: {key!r} must be an object, got {value!r}")
+            values[key] = _read_section(tp, value, key)
+            continue
+        accepted, kind, convert = _JSON_TYPES[item]
+        if item is tp and type(value) in accepted:
+            values[key] = convert(value)
+        elif item is not tp and type(value) is list and all(type(v) in accepted for v in value):
+            values[key] = tuple(map(convert, value))
+        else:
+            kind = kind if item is tp else f"a list, each entry {kind}"
+            raise ValueError(f"{section}: {key!r} must be {kind}, got {value!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -202,10 +225,6 @@ class CellResult:
     failures: int
     wer: float
     stderr: float
-
-
-def _binomial_se(p, n):
-    return math.sqrt(p * (1.0 - p) / n)
 
 
 def run_wer(config):
@@ -247,7 +266,7 @@ def run_wer(config):
             results.append(CellResult(
                 map=str(spec), sigma2=s2, trials=config.trials,
                 mismatch=mismatch, fractional=fractional, tie=tie,
-                failures=failures, wer=wer, stderr=_binomial_se(wer, config.trials),
+                failures=failures, wer=wer, stderr=math.sqrt(wer * (1.0 - wer) / config.trials),
             ))
     return results
 
@@ -279,7 +298,7 @@ def run_pseudo_scan(config):
     for ni, n in enumerate(sc.n_values):
         bound = pseudoweight_bound(sc.dv, sc.dc, n).bound
         for gi in range(sc.graphs_per_n):
-            rng = trial_rng(config.seed, ni * 10_000 + gi, stream=2)
+            rng = trial_rng(config.seed, ni * MAX_GRAPHS_PER_N + gi, stream=2)
             picks = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
             roots = sorted(int(r) for r in picks)
             for attempt in range(50):

@@ -7,6 +7,7 @@ Variable and check indices are 0-based everywhere in memory; alist files are
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,44 +85,37 @@ class TannerGraph:
                  "var_degrees", "check_degrees", "edge_var")
 
     def __init__(self, n, check_nbrs):
-        n = int(n)
+        n = operator.index(n)
         if n < 1:
             raise ValueError("need at least one variable node")
-        rows = tuple(tuple(map(int, row)) for row in check_nbrs)
+        rows = []
+        for j, row in enumerate(check_nbrs):  # row-major, so the first offender is named
+            rows.append({})  # an ordered set: the row's variables in their given order
+            for x in row:
+                try:
+                    i = operator.index(x)
+                except TypeError:
+                    raise ValueError(f"check {j}: variable index {x!r} is not an integer") from None
+                if not 0 <= i < n:
+                    raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
+                if i in rows[-1]:
+                    raise ValueError(f"duplicate edge between variable {i} and check {j}")
+                rows[-1][i] = None
         if not rows:
             raise ValueError("need at least one check node")
-        m = len(rows)
-        check_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, rows), np.int64, m), out=check_indptr[1:])
-        size = int(check_indptr[-1])
-        try:
-            var_of = np.fromiter(itertools.chain.from_iterable(rows), np.int64, size)
-        except OverflowError:  # such an index is out of range, and stays so when clamped
-            var_of = np.fromiter((min(max(i, -1), n) for i in itertools.chain.from_iterable(rows)),
-                                 np.int64, size)
-        self._set_csr(n, check_indptr, var_of, rows)
+        check_indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+        var_of = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(check_indptr[-1]))
+        self._set_csr(n, check_indptr, var_of)
 
-    def _set_csr(self, n, check_indptr, var_of, rows=None):
-        """Validate and store fresh int64 check-side CSR arrays; returns self.
-        A range error names the entry of ``rows``, which ``var_of`` may clamp."""
-        m, size = check_indptr.size - 1, var_of.size
+    def _set_csr(self, n, check_indptr, var_of):
+        """Store fresh int64 check-side CSR arrays of a simple graph, whose
+        indices lie in [0, n), and their transpose; returns self."""
+        m = check_indptr.size - 1
         check_degrees = np.diff(check_indptr)
         check_of = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
-        # Stable by variable: each variable's edges stay in row-major order, so
-        # its checks ascend and a repeated edge sits next to its first copy.
+        # stable by variable, so each variable's checks ascend
         order = np.argsort(var_of, kind="stable")
         var_sorted, var_check = var_of[order], check_of[order]
-        repeat = (var_sorted[1:] == var_sorted[:-1]) & (var_check[1:] == var_check[:-1])
-        bad = np.flatnonzero((var_of < 0) | (var_of >= n))
-        dup = order[1:][repeat]
-        if bad.size or dup.size:
-            # first offender in row-major order; a range error wins a tie
-            first = min(bad.min(initial=size), dup.min(initial=size))
-            j = int(check_of[first])
-            i = int(var_of[first]) if rows is None else rows[j][first - check_indptr[j]]
-            if bad.size and bad[0] == first:
-                raise ValueError(f"check {j}: variable index {i} out of range [0, {n})")
-            raise ValueError(f"duplicate edge between variable {i} and check {j}")
         var_degrees = np.bincount(var_of, minlength=n)
         var_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(var_degrees, out=var_indptr[1:])
@@ -287,7 +281,7 @@ def parse_alist(text):
             raise AlistError(f"{what} {k}: neighbor index out of range 1..{upper}")
         raise AlistError(f"{what} {k}: duplicate edge in neighbor list")
 
-    # Blocks already checked cannot fail the constructor; its transpose
+    # The blocks are checked above, as _set_csr requires; its transpose
     # arrays list each variable's checks in ascending order.
     check_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(listed[n:], out=check_indptr[1:])

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import simplex
 from .channel import qfunc
+from .lpdec import _llr_vector
 
 __all__ = [
     "ParameterError",
@@ -155,11 +157,6 @@ def high_noise_set(lamp):
     return np.asarray(lamp, dtype=float) < 0.5
 
 
-def _require_var_regular(g, d_v):
-    if (g.var_degrees != d_v).any():
-        raise ValueError(f"graph must have uniform variable degree {d_v}")
-
-
 def _require_mask(g, mask, name):
     mask = np.asarray(mask)
     if mask.shape != (g.n,) or mask.dtype != bool:
@@ -172,7 +169,8 @@ def _require_mask(g, mask, name):
 def boundary_set(g, u, params):
     """Mask of the variables outside the mask ``u`` whose checks overlap N(U)
     in more than (1 - delta') d_v places."""
-    _require_var_regular(g, params.d_v)
+    if (g.var_degrees != params.d_v).any():
+        raise ValueError(f"graph must have uniform variable degree {params.d_v}")
     u = _require_mask(g, u, "U")
     near = np.zeros(g.m, dtype=bool)  # N(U)
     near[g.var_indices[u[g.edge_var]]] = True
@@ -342,9 +340,7 @@ def check_feasible(g, tau, lamp):
     margin is positive. ``tau`` must hold one weight per edge, aligned with
     ``(g.edge_var, g.var_indices)``.
     """
-    lamp = np.asarray(lamp, dtype=float)
-    if lamp.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
+    lamp = _llr_vector(g, lamp)
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (g.num_edges,):
         raise ValueError(
@@ -423,11 +419,7 @@ def witness_search(g, lamp):
     same cap. With R empty that LP is s <= cap, and s* is the cap with no
     solve; with R every variable it is the full LP, built as it always was.
     """
-    lamp = np.asarray(lamp, dtype=float)
-    if lamp.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} LLR vector, got shape {lamp.shape}")
-    if not np.isfinite(lamp).all():
-        raise ValueError("LLR vector must be finite")
+    lamp = _llr_vector(g, lamp)
     cap = np.abs(lamp).max()
     if cap == 0:
         cap = 1.0
@@ -469,25 +461,17 @@ class SigmaBudget:
 
 
 def chernoff_sigma_budget(params, n=None):
-    """Largest noise variance keeping the high-noise probability below
-    alpha / (2 (1 + gamma)), found by bisection on the monotone map
-    sigma -> Q(1 / (2 sigma)). With ``n`` given, also reports the implied
-    caps alpha*n / (2(1+gamma)) and (alpha*n - 1) / (1 + gamma) on |U|."""
-    if params.alpha_exp is None or not params.alpha_exp > 0:
-        raise ValueError("alpha_exp must be set and positive")
-    target = params.alpha_exp / (2.0 * (1.0 + params.gamma))
-    lo, hi = 1e-9, 1.0
-    while qfunc(1.0 / (2.0 * hi)) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the noise budget")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if qfunc(1.0 / (2.0 * mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    sigma = lo
+    """Largest noise variance keeping the high-noise probability
+    Q(1 / (2 sigma)) below alpha / (2 (1 + gamma)): sigma = 1 / (2 z) for
+    the upper-tail quantile z of the target, stepped down by ulps while
+    rounding leaves Q at or above the target. With ``n`` given, also reports the
+    implied caps alpha*n / (2(1+gamma)) and (alpha*n - 1) / (1 + gamma) on |U|."""
+    if params.alpha_exp is None or not 0 < params.alpha_exp < 1:
+        raise ValueError("alpha_exp must be set and lie in (0, 1)")
+    target = params.alpha_exp / (2.0 * (1.0 + params.gamma))  # below 1/2
+    sigma = 1.0 / (2.0 * -statistics.NormalDist().inv_cdf(target))
+    while qfunc(1.0 / (2.0 * sigma)) >= target:
+        sigma = math.nextafter(sigma, 0.0)
     caps = {}
     if n is not None:
         an = params.alpha_exp * n

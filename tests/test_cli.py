@@ -5,6 +5,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from lpldpc import emit_alist, enumerate_codewords, generate_regular, lp_decode, parse_alist
 from lpldpc.cli import main
@@ -230,9 +231,26 @@ def test_sim_missing_out_is_error(tmp_path, capsys):
     assert "out" in capsys.readouterr().err
 
 
-def test_sim_bad_config_reports_error(tmp_path, capsys):
+_WER = {"graph": {"n": 8, "dv": 3, "dc": 4, "seed": 2}, "maps": ["trivial"],
+        "sigma2": [0.5], "trials": 2}
+
+
+@pytest.mark.parametrize("mode, cfg, key", [
+    pytest.param("wer", {**_WER, "seed": 1.7}, "seed", id="fractional-seed"),
+    pytest.param("wer", {**_WER, "random_codeword": "false"}, "random_codeword",
+                 id="string-flag"),
+    pytest.param("wer", {**_WER, "random_codword": True}, "random_codword", id="misspelled-key"),
+    pytest.param("pseudo-scan", {"scan": {"dv": 3, "dc": 4}}, "n_values", id="scan-without-sizes"),
+    pytest.param("pseudo-scan", {"scan": [[16], 3, 4]}, "scan", id="scan-as-list"),
+    pytest.param("wer", {**_WER, "trials": "5"}, "trials", id="string-trials"),
+    pytest.param("wer", {**_WER, "trials": 2.5}, "trials", id="fractional-trials"),
+    pytest.param("wer", {**_WER, "graph": "g.alist"}, "graph", id="graph-not-an-object"),
+])
+def test_sim_bad_config_reports_error(tmp_path, capsys, mode, cfg, key):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"maps": ["trivial"], "sigma2": [0.5],
-                                    "trials": 0, "seed": 0}))
-    assert main(["sim", "wer", "--config", str(cfg_path)]) == 1
-    assert "error" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["sim", mode, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"'{key}'" in err[0]
+    assert not out.exists()

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from lpldpc import (
     DisconnectedGraphError,
     ExperimentConfig,
     GraphSource,
+    MapSpec,
+    ProofSpec,
     ScanRow,
     ScanSpec,
     bfs_tiers,
@@ -75,6 +79,66 @@ def test_config_validation_errors():
         GraphSource(path="x.alist", n=4, dv=1, dc=2, seed=0)
     with pytest.raises(ValueError, match="conflicts"):
         ExperimentConfig.from_json({"mode": "wer"}, mode="pseudo-scan")
+
+
+def test_readme_example_configs_parse_as_before():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    got = [ExperimentConfig.from_json(json.loads(b), mode=m)
+           for b, m in zip(blocks, ("wer", "pseudo-scan", "witness-rate"))]
+    want = [
+        ExperimentConfig(
+            mode="wer", trials=1000, seed=1, graph=GraphSource(n=32, dv=3, dc=4, seed=7),
+            maps=(MapSpec.trivial(), MapSpec.threshold(1.0), MapSpec.quantize2(1.0)),
+            sigma2=(0.4, 0.6, 0.9), out="results.csv"),
+        ExperimentConfig(
+            mode="pseudo-scan", trials=1, seed=5, out="scan.csv",
+            scan=ScanSpec(n_values=(24, 48, 96), dv=3, dc=4, graphs_per_n=5, roots_per_graph=3)),
+        ExperimentConfig(
+            mode="witness-rate", trials=50, seed=2, graph=GraphSource(path="bigdegree.alist"),
+            maps=(MapSpec.threshold(1.0),), sigma2=(0.04, 0.09), out="rate.csv",
+            proof=ProofSpec(w=1.0, verify_smax=2)),
+    ]
+    assert [repr(c) for c in got] == [repr(c) for c in want]  # repr tells 1 from 1.0
+
+
+def test_config_reader_checks_each_section_against_its_fields():
+    # defaults come from the dataclasses; null stands for an optional field's None
+    cfg = ExperimentConfig.from_json({"mode": "pseudo-scan", "out": None,
+                                      "scan": {"n_values": [16], "dv": 3, "dc": 4}})
+    assert (cfg.trials, cfg.seed, cfg.out, cfg.scan.graphs_per_n) == (1, 0, None, 1)
+    # JSON integers are numbers: sigma2 and w come out as floats
+    cfg = wer_config(sigma2=[1])
+    assert cfg.sigma2 == (1.0,) and type(cfg.sigma2[0]) is float
+    for overrides, message in [
+        ({"seed": True}, "config: 'seed' must be an integer, got True"),
+        ({"trials": 5.0}, "config: 'trials' must be an integer, got 5.0"),
+        ({"sigma2": 0.5}, "config: 'sigma2' must be a list, each entry a number, got 0.5"),
+        ({"sigma2": [0.5, "0.9"]}, "config: 'sigma2' must be a list, each entry a number"),
+        ({"maps": "trivial"}, "config: 'maps' must be a list, each entry a map string"),
+        ({"out": 3}, "config: 'out' must be a string, got 3"),
+        ({"graph": {"n": 12, "dv": 3, "dc": 4, "seed": 11, "sed": 1}}, "graph: unknown key 'sed'"),
+        ({"graph": {"n": 12, "dv": 3.0, "dc": 4, "seed": 11}}, "graph: 'dv' must be an integer"),
+        ({"proof": {"w": "1"}}, "proof: 'w' must be a number, got '1'"),
+        ({"proof": {"verify_smax": 2.0}}, "proof: 'verify_smax' must be an integer, got 2.0"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            wer_config(**overrides)
+    with pytest.raises(ValueError, match="^config: missing key 'mode'$"):
+        ExperimentConfig.from_json({"scan": {"n_values": [16], "dv": 3, "dc": 4}})
+    with pytest.raises(ValueError, match="^config must be a JSON object$"):
+        ExperimentConfig.from_json([{"mode": "wer"}])
+
+
+def test_scan_spec_caps_graphs_per_n_at_the_root_stream_stride():
+    # graph gi of size index ni draws its roots from trial ni * 10_000 + gi
+    assert simcli.MAX_GRAPHS_PER_N == 10_000
+    ScanSpec(n_values=(16,), dv=3, dc=4, graphs_per_n=10_000)
+    with pytest.raises(ValueError, match="graphs_per_n <= 10000"):
+        ScanSpec(n_values=(16,), dv=3, dc=4, graphs_per_n=10_001)
+    with pytest.raises(ValueError, match="graphs_per_n <= 10000"):
+        _scan_config(0, [16], 10_001, 1)
 
 
 def test_witness_rate_config_needs_matching_threshold():

@@ -170,6 +170,15 @@ def test_constructor_rejects_duplicates_and_bad_indices():
         TannerGraph(3, [[0, 0, 1]])
     with pytest.raises(ValueError, match="range"):
         TannerGraph(3, [[0, 3]])
+    # integers only: int() would read these as ((0, 1), (2, 0))
+    with pytest.raises(ValueError, match=r"^check 0: variable index 0\.7 is not an integer$"):
+        TannerGraph(3, [[0.7, 1.9], ["2", 0]])
+    with pytest.raises(ValueError, match=r"^check 1: variable index '2' is not an integer$"):
+        TannerGraph(3, [[0, 1], ["2", 0]])
+    with pytest.raises(TypeError):
+        TannerGraph(3.0, [[0, 1]])
+    g = TannerGraph(np.int64(3), [np.array([2, 0]), (np.uint8(1),)])
+    assert g.check_nbrs == ((2, 0), (1,))
 
 
 def test_generate_regular_degrees():

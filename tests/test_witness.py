@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -20,6 +22,8 @@ from lpldpc import (
     high_noise_prob,
     high_noise_set,
     lp_decode,
+    ml_decode,
+    qfunc,
     stopping_core,
     weights_from_matching,
     witness_search,
@@ -645,6 +649,36 @@ def test_chernoff_budget_requires_alpha():
     p = derive_params(1.0, 25)
     with pytest.raises(ValueError, match="alpha_exp"):
         chernoff_sigma_budget(p)
+    # alpha_exp = 1 would put the target at or above 1/2 for small gamma
+    with pytest.raises(ValueError, match=r"alpha_exp must be set and lie in \(0, 1\)"):
+        chernoff_sigma_budget(dataclasses.replace(p, alpha_exp=1.0))
+
+
+def test_chernoff_budget_is_the_largest_sigma_below_the_target():
+    # Q(1 / (2 sigma)) stays below the target, and 1e-12 more sigma reaches it
+    for (w, d_v), alpha in itertools.product(((1.0, 25), (1.0, 100), (1.5, 40), (2.0, 100)),
+                                             (1e-6, 0.02, 0.3, 0.99)):
+        budget = chernoff_sigma_budget(derive_params(w, d_v, alpha_exp=alpha))
+        sigma, target = budget.sigma_max, budget.p_target
+        assert qfunc(1.0 / (2.0 * sigma)) < target <= qfunc(1.0 / (2.0 * sigma * (1 + 1e-12)))
+        assert budget.sigma2_max == sigma * sigma
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_llr_consumers_reject_non_finite_and_wrong_length_vectors(g34_small, bad):
+    g = g34_small
+    tau = np.zeros(g.num_edges)
+    consumers = {"lp_decode": lambda lam: lp_decode(g, lam),
+                 "ml_decode": lambda lam: ml_decode(g, lam),
+                 "witness_search": lambda lam: witness_search(g, lam),
+                 "check_feasible": lambda lam: check_feasible(g, tau, lam)}
+    for name, consume in consumers.items():
+        lam = np.ones(g.n)
+        lam[3] = bad
+        with pytest.raises(ValueError, match=r"^LLR vector must be finite$"):
+            consume(lam)
+        with pytest.raises(ValueError, match=rf"^expected a length-{g.n} LLR vector, got shape \(5,\)$"):
+            consume(np.ones(5))
 
 
 def test_u_rarely_exceeds_cap_below_budget():
