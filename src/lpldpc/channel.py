@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ def trial_rng(seed, trial, stream=0):
     independent of the order in which trials execute. ``stream`` separates
     different random uses inside the same trial.
     """
-    seed, trial, stream = int(seed), int(trial), int(stream)
+    seed, trial, stream = operator.index(seed), operator.index(trial), operator.index(stream)
     if seed < 0 or trial < 0 or stream < 0:
         raise ValueError("seed, trial and stream must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream)))

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import typing
 from dataclasses import dataclass
 
@@ -54,6 +55,20 @@ MODES = ("wer", "pseudo-scan", "witness-rate")
 MAX_GRAPHS_PER_N = 10_000
 
 
+def _is_int(value):
+    """The config reader's rule for an integer field: an integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_ints(section, obj, *names):
+    """Raise ValueError, worded as the config reader words it, unless each
+    named field of ``obj`` is None or an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not _is_int(value):
+            raise ValueError(f"{section}: {name!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSource:
     """Either an alist path or a (n, dv, dc, seed) generator spec."""
@@ -65,6 +80,7 @@ class GraphSource:
     seed: int | None = None
 
     def __post_init__(self):
+        _require_ints("graph", self, "n", "dv", "dc", "seed")
         by_path = self.path is not None
         by_gen = None not in (self.n, self.dv, self.dc, self.seed)
         if by_path == by_gen:
@@ -88,6 +104,10 @@ class ScanSpec:
     roots_per_graph: int = 1
 
     def __post_init__(self):
+        _require_ints("scan", self, "dv", "dc", "graphs_per_n", "roots_per_graph")
+        for n in self.n_values:
+            if not _is_int(n):
+                raise ValueError(f"scan: each entry of 'n_values' must be an integer, got {n!r}")
         if not self.n_values:
             raise ValueError("scan needs at least one n value")
         if not 3 <= self.dv < self.dc:
@@ -112,6 +132,9 @@ class ProofSpec:
     kappa: float | None = None
     verify_smax: int | None = None
 
+    def __post_init__(self):
+        _require_ints("proof", self, "verify_smax")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -129,6 +152,7 @@ class ExperimentConfig:
     proof: ProofSpec | None = None
 
     def __post_init__(self):
+        _require_ints("config", self, "trials", "seed")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.trials < 1:

@@ -113,8 +113,9 @@ class TannerGraph:
         m = check_indptr.size - 1
         check_degrees = np.diff(check_indptr)
         check_of = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
-        # stable by variable, so each variable's checks ascend
-        order = np.argsort(var_of, kind="stable")
+        # stable by variable, so each variable's checks ascend; keys of 16
+        # bits or less are radix sorted
+        order = np.argsort(var_of.astype(np.min_scalar_type(n - 1)), kind="stable")
         var_sorted, var_check = var_of[order], check_of[order]
         var_degrees = np.bincount(var_of, minlength=n)
         var_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -313,11 +314,15 @@ def generate_regular(n, d_v, d_c, seed):
     Configuration model: the n*d_v variable stubs are matched against the
     m*d_c check stubs by a seeded random permutation, resampling from scratch
     until the multigraph has no parallel edges (at most RETRY_CAP attempts).
-    Each attempt draws one permutation and is rejected by column compares
-    that stop at the first variable listing a check twice, so a fixed seed
-    fixes the graph. The accepted sample becomes CSR arrays, with no lists.
+    Each attempt shuffles a copy of the check stubs in place. That consumes
+    exactly the draws of ``rng.permutation(n*d_v)`` and moves the stubs as
+    that permutation would (``tests/oracles.generate_regular_by_unique``
+    pins this). The pairs of stub columns are then compared one at a time,
+    and the attempt is rejected at the first pair in which some variable
+    lists a check twice. So a fixed seed fixes the graph. The accepted
+    sample becomes CSR arrays, with no lists.
     """
-    n, d_v, d_c = int(n), int(d_v), int(d_c)
+    n, d_v, d_c = operator.index(n), operator.index(d_v), operator.index(d_c)
     if d_v < 1 or d_c < 2:
         raise ValueError("need d_v >= 1 and d_c >= 2")
     if (n * d_v) % d_c != 0:
@@ -329,12 +334,16 @@ def generate_regular(n, d_v, d_c, seed):
         )
     rng = np.random.default_rng(seed)
     check_stub = np.repeat(np.arange(m, dtype=np.int64), d_c)
+    pairs = list(itertools.combinations(range(d_v), 2))
     for _ in range(RETRY_CAP):
+        check_of = check_stub.copy()
+        rng.shuffle(check_of)
         # stub k belongs to variable k // d_v: row i holds variable i's checks
-        check_of = check_stub[rng.permutation(n * d_v)].reshape(n, d_v)
-        if not any((check_of[:, a, None] == check_of[:, a + 1:]).any() for a in range(d_v - 1)):
+        check_of = check_of.reshape(n, d_v)
+        if not any((check_of[:, a] == check_of[:, b]).any() for a, b in pairs):
             # stable, so each check lists its stubs, hence its variables, in order
-            rows = np.argsort(check_of, axis=None, kind="stable") // d_v
+            keys = check_of.astype(np.min_scalar_type(m - 1))
+            rows = np.argsort(keys, axis=None, kind="stable") // d_v
             indptr = np.arange(m + 1, dtype=np.int64) * d_c
             return TannerGraph.__new__(TannerGraph)._set_csr(n, indptr, rows)
     raise GenerationError(

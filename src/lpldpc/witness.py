@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import statistics
 from collections import deque
 from dataclasses import dataclass
@@ -110,7 +111,7 @@ def derive_params(w, d_v, delta_hat=None, alpha_exp=None):
     delta * d_v integral. Every inequality is checked and named on failure.
     """
     w = float(w)
-    d_v = int(d_v)
+    d_v = operator.index(d_v)
     if not w >= 1:
         raise ParameterError(f"w >= 1 required, got {w}")
     floor_dv = 4 * (4 * w + 2)
@@ -194,7 +195,7 @@ def check_expansion(g, beta_exp, s_max):
     violator is deterministic. The total subset count must stay within the
     enumeration budget.
     """
-    s_max = int(s_max)
+    s_max = operator.index(s_max)
     if s_max < 1 or s_max > g.n:
         raise ValueError(f"s_max must lie in 1..{g.n}")
     total = sum(math.comb(g.n, s) for s in range(1, s_max + 1))

@@ -81,6 +81,13 @@ def test_trial_substreams_are_order_independent():
     assert not (a == trial_rng(3, 17, stream=1).standard_normal(8)).all()
 
 
+@pytest.mark.parametrize("args", [(1.7, 0, 0), (1, 0.0, 0), (1, 0, 1.5)])
+def test_trial_rng_rejects_fractions(args):
+    # a fraction is an error, not the substreams of its integer part
+    with pytest.raises(TypeError):
+        trial_rng(*args)
+
+
 def test_normalized_llr_is_identity():
     params = ChannelParams(0.37)
     y = trial_rng(0, 0).standard_normal(100) + 1.0

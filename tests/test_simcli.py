@@ -131,6 +131,37 @@ def test_config_reader_checks_each_section_against_its_fields():
         ExperimentConfig.from_json([{"mode": "wer"}])
 
 
+@pytest.mark.parametrize("build, field, value", [
+    (lambda v: ExperimentConfig(mode="pseudo-scan", seed=v, scan=ScanSpec((16,), 3, 4)),
+     "config: 'seed'", 1.7),
+    (lambda v: ExperimentConfig(mode="pseudo-scan", trials=v, scan=ScanSpec((16,), 3, 4)),
+     "config: 'trials'", 2.5),
+    (lambda v: GraphSource(n=v, dv=3, dc=4, seed=1), "graph: 'n'", 12.0),
+    (lambda v: GraphSource(n=12, dv=v, dc=4, seed=1), "graph: 'dv'", "3"),
+    (lambda v: GraphSource(n=12, dv=3, dc=v, seed=1), "graph: 'dc'", 4.0),
+    (lambda v: GraphSource(n=12, dv=3, dc=4, seed=v), "graph: 'seed'", 1.7),
+    (lambda v: ScanSpec(n_values=(16,), dv=v, dc=4), "scan: 'dv'", 3.0),
+    (lambda v: ScanSpec(n_values=(16,), dv=3, dc=v), "scan: 'dc'", 4.5),
+    (lambda v: ScanSpec(n_values=(16,), dv=3, dc=4, graphs_per_n=v), "scan: 'graphs_per_n'", 2.0),
+    (lambda v: ScanSpec(n_values=(16,), dv=3, dc=4, roots_per_graph=v),
+     "scan: 'roots_per_graph'", True),
+    (lambda v: ScanSpec(n_values=(16, v), dv=3, dc=4),
+     "scan: each entry of 'n_values'", 24.0),
+    (lambda v: ProofSpec(verify_smax=v), "proof: 'verify_smax'", 2.0),
+])
+def test_dataclasses_built_in_python_reject_non_integers(build, field, value):
+    # the config reader's rule and wording, also without a JSON config
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be an integer, got "
+                                         f"{re.escape(repr(value))}$"):
+        build(value)
+
+
+def test_dataclasses_built_in_python_take_numpy_integers():
+    g = GraphSource(n=np.int64(12), dv=np.int32(3), dc=4, seed=np.uint64(1)).load()
+    assert g == generate_regular(12, 3, 4, 1)
+    ScanSpec(n_values=(np.int64(16),), dv=3, dc=4, graphs_per_n=np.int64(2))
+
+
 def test_scan_spec_caps_graphs_per_n_at_the_root_stream_stride():
     # graph gi of size index ni draws its roots from trial ni * 10_000 + gi
     assert simcli.MAX_GRAPHS_PER_N == 10_000

@@ -194,6 +194,14 @@ def test_generate_regular_divisibility_error():
         generate_regular(10, 3, 4, seed=1)
 
 
+@pytest.mark.parametrize("args", [(12.7, 3, 4), (12, 3.0, 4), (12, 3, 4.0)])
+def test_generate_regular_rejects_fractions(args):
+    # a fraction is an error, not the graph of its integer part
+    with pytest.raises(TypeError):
+        generate_regular(*args, seed=1)
+    assert generate_regular(*map(np.int64, (12, 3, 4)), seed=1) == generate_regular(12, 3, 4, 1)
+
+
 def test_generate_regular_deterministic():
     a = generate_regular(16, 3, 4, seed=42)
     b = generate_regular(16, 3, 4, seed=42)
@@ -520,6 +528,14 @@ def test_stored_degrees_and_edge_vars_match_the_csr_arrays(g):
 @example(d_v=3, d_c=1, k=1, skew=0, seed=0, cap=40)
 @example(d_v=3, d_c=4, k=64, skew=0, seed=3, cap=40)  # n = 256
 @example(d_v=3, d_c=9, k=4, skew=0, seed=0, cap=40)  # n = 36: high d_c, fails
+# the sizes the benchmark and the tests sample, at the full and a shortened cap
+@example(d_v=3, d_c=4, k=128, skew=0, seed=3, cap=tanner.RETRY_CAP)  # n = 512
+@example(d_v=3, d_c=4, k=128, skew=0, seed=3, cap=1)
+@example(d_v=3, d_c=4, k=256, skew=0, seed=3, cap=tanner.RETRY_CAP)  # n = 1024
+@example(d_v=3, d_c=4, k=256, skew=0, seed=3, cap=1)
+@example(d_v=3, d_c=6, k=24, skew=0, seed=3, cap=tanner.RETRY_CAP)  # n = 48
+@example(d_v=3, d_c=6, k=24, skew=0, seed=3, cap=1)
+@example(d_v=1, d_c=2, k=257, skew=0, seed=3, cap=1)  # m = 257: the first uint16 check key
 def test_generate_regular_matches_unique_oracle(d_v, d_c, k, skew, seed, cap):
     # n is a multiple of d_c / gcd(d_v, d_c) unless skewed; small n with
     # large d_c exhausts the shortened retry cap, so failures are compared too
@@ -533,6 +549,21 @@ def test_generate_regular_matches_unique_oracle(d_v, d_c, k, skew, seed, cap):
         assert got[1].n == n
         got = "ok", got[1].check_nbrs
     assert got == want
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+def test_variable_side_csr_matches_an_int64_stable_argsort_at_every_key_width(n):
+    # _set_csr sorts by variable with keys of np.min_scalar_type(n - 1):
+    # uint8 up to n = 256, uint16 up to n = 65536, then uint32
+    rng = np.random.default_rng(n)
+    g = TannerGraph(n, [rng.permutation(n)[:n // 2 + j] for j in range(4)])
+    var_of = np.asarray(g.check_indices, dtype=np.int64)
+    order = np.argsort(var_of, kind="stable")
+    var_indptr = np.concatenate([[0], np.cumsum(np.bincount(var_of, minlength=n))])
+    for got, want in ((g.var_indptr, var_indptr), (g.edge_var, var_of[order]),
+                      (g.var_indices, np.repeat(np.arange(g.m), g.check_degrees)[order])):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_generate_regular_failure_matches_oracle_at_full_cap():

@@ -95,6 +95,13 @@ def test_derive_params_example_values():
     assert p.kappa_lo < p.kappa_mid < p.kappa_hi
 
 
+def test_derive_params_rejects_a_fractional_d_v():
+    # a fraction is an error, not d_v = 25
+    with pytest.raises(TypeError):
+        derive_params(1.0, 25.9)
+    assert derive_params(1.0, np.int64(25)) == derive_params(1.0, 25)
+
+
 def test_derive_params_invariants_hold():
     for w, d_v in [(1.0, 25), (1.0, 40), (1.5, 33), (2.0, 41)]:
         p = derive_params(w, d_v)
@@ -185,6 +192,13 @@ def test_expansion_verdict_invariant_under_relabeling():
     a = check_expansion(g, beta_exp=2.5, s_max=3)
     b = check_expansion(relabeled, beta_exp=2.5, s_max=3)
     assert a.ok == b.ok
+
+
+def test_expansion_rejects_a_fractional_s_max():
+    # a float is an error, even an integral one
+    g = generate_regular(12, 3, 4, seed=4)
+    with pytest.raises(TypeError):
+        check_expansion(g, beta_exp=2.5, s_max=2.0)
 
 
 def test_expansion_budget_enforced():
