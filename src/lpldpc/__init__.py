@@ -20,6 +20,7 @@ from .channel import (
     normalized_llr,
     qfunc,
     transmit_awgn,
+    trial_noise,
     trial_rng,
 )
 from .lpdec import (

@@ -13,6 +13,7 @@ __all__ = [
     "MapSpec",
     "bpsk",
     "trial_rng",
+    "trial_noise",
     "transmit_awgn",
     "normalized_llr",
     "apply_map",
@@ -129,16 +130,22 @@ def trial_rng(seed, trial, stream=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream)))
 
 
+def trial_noise(seed, trial, shape):
+    """Unit-variance Gaussian noise of one trial: substream 0 of
+    :func:`trial_rng`. Every noise variance of a trial scales this one draw."""
+    return trial_rng(seed, trial).standard_normal(shape)
+
+
 def transmit_awgn(xbar, params, seed, trial):
-    """Send a +/-1 signal vector through AWGN with variance ``params.sigma2``.
+    """Send a +/-1 signal vector through AWGN with variance ``params.sigma2``:
+    ``xbar + params.sigma * trial_noise(seed, trial, xbar.shape)``.
 
     Deterministic given (seed, trial); see :func:`trial_rng`.
     """
     x = np.asarray(xbar, dtype=float)
     if not (np.abs(x) == 1.0).all():
         raise ValueError("transmit_awgn expects a +/-1 signal vector")
-    z = trial_rng(seed, trial).standard_normal(x.shape)
-    return x + params.sigma * z
+    return x + params.sigma * trial_noise(seed, trial, x.shape)
 
 
 def normalized_llr(ybar, params):

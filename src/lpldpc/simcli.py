@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .channel import ChannelParams, MapSpec, apply_map, bpsk, normalized_llr, transmit_awgn, trial_rng
+from .channel import ChannelParams, MapSpec, apply_map, bpsk, normalized_llr, trial_noise, trial_rng
 from .lpdec import lp_decode
 from .pseudo import awgnc_pseudoweight, canonical_completion, pseudoweight_bound
 from .tanner import DisconnectedGraphError, GenerationError, generate_regular, parse_alist
@@ -256,42 +256,42 @@ def run_wer(config):
 
     Transmits the all-zeros codeword unless random_codeword is set, in which
     case a uniformly random codeword is drawn per trial from a null-space
-    basis (substream 1; the noise uses substream 0). A trial fails when the
-    decoder does not return the transmitted codeword; integral-mismatch,
-    fractional and tie outcomes are tallied separately.
+    basis (substream 1; the noise uses substream 0). Each trial draws its
+    codeword and its unit-variance noise once, and every (map, sigma2) cell
+    decodes that same word under that same noise, scaled by its sigma; rows
+    come out in (map, sigma2) order. A trial fails when the decoder does not
+    return the transmitted codeword; integral-mismatch, fractional and tie
+    outcomes are tallied separately.
     """
     g = config.graph.load()
     basis = None
     if config.random_codeword:
         basis = gf2.nullspace_basis(g.parity_check_matrix())
-    results = []
+    cells = [(spec, ChannelParams(s2)) for spec in config.maps for s2 in config.sigma2]
+    tallies = [dict.fromkeys(("mismatch", "fractional", "tie"), 0) for _ in cells]
     zeros = np.zeros(g.n, dtype=np.uint8)
-    for spec in config.maps:
-        for s2 in config.sigma2:
-            params = ChannelParams(s2)
-            mismatch = fractional = tie = 0
-            for t in range(config.trials):
-                if basis is not None and basis.shape[0] > 0:
-                    msg = trial_rng(config.seed, t, stream=1).integers(0, 2, basis.shape[0])
-                    x = (msg @ basis) % 2
-                else:
-                    x = zeros
-                y = transmit_awgn(bpsk(x), params, config.seed, t)
-                lamp = apply_map(spec, normalized_llr(y, params))
-                out = lp_decode(g, lamp)
-                if out.status == "tie":
-                    tie += 1
-                elif out.status == "fractional":
-                    fractional += 1
-                elif (out.codeword != x).any():
-                    mismatch += 1
-            failures = mismatch + fractional + tie
-            wer = failures / config.trials
-            results.append(CellResult(
-                map=str(spec), sigma2=s2, trials=config.trials,
-                mismatch=mismatch, fractional=fractional, tie=tie,
-                failures=failures, wer=wer, stderr=math.sqrt(wer * (1.0 - wer) / config.trials),
-            ))
+    for t in range(config.trials):
+        if basis is not None and basis.shape[0] > 0:
+            msg = trial_rng(config.seed, t, stream=1).integers(0, 2, basis.shape[0])
+            x = (msg @ basis) % 2
+        else:
+            x = zeros
+        xbar, z = bpsk(x), trial_noise(config.seed, t, g.n)
+        for (spec, params), tally in zip(cells, tallies):
+            y = xbar + params.sigma * z
+            out = lp_decode(g, apply_map(spec, normalized_llr(y, params)))
+            if out.status in ("tie", "fractional"):
+                tally[out.status] += 1
+            elif (out.codeword != x).any():
+                tally["mismatch"] += 1
+    results = []
+    for (spec, params), tally in zip(cells, tallies):
+        failures = sum(tally.values())
+        wer = failures / config.trials
+        results.append(CellResult(
+            map=str(spec), sigma2=params.sigma2, trials=config.trials, **tally,
+            failures=failures, wer=wer, stderr=math.sqrt(wer * (1.0 - wer) / config.trials),
+        ))
     return results
 
 
@@ -366,8 +366,11 @@ class WitnessRateRow:
 def run_witness_rate(config):
     """Compare the exact witness LP, the constructive pipeline, and the decoder.
 
-    Per trial: high-noise set, boundary set, matching search, constructed
-    weights and their feasibility check, the witness LP, and the LP decoder.
+    Each trial draws its unit-variance noise once, and every sigma2 cell
+    scales that same draw by its sigma; rows come out in sigma2 order. Per
+    trial and cell: high-noise set, boundary set, matching search,
+    constructed weights and their feasibility check, the witness LP, and the
+    LP decoder.
     Expansion is brute-force verified up to proof.verify_smax when given
     (rows labeled 'verified', with alpha = smax/n); otherwise rows are
     labeled 'assumed'. On verified graphs, every trial whose |U| falls under
@@ -391,14 +394,16 @@ def run_witness_rate(config):
     kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
     params.require_kappa(kappa)  # before the first trial, which may find no matching
     zeros_bar = bpsk(np.zeros(g.n, dtype=np.uint8))
+    an = params.alpha_exp * g.n if expansion == "verified" else None
 
-    rows = []
-    for s2 in config.sigma2:
-        ch = ChannelParams(s2)
-        wpos = constructive = success_n = agree = checked = dead = viol = 0
-        for t in range(config.trials):
-            y = transmit_awgn(zeros_bar, ch, config.seed, t)
-            lamp = apply_map(spec, normalized_llr(y, ch))
+    cells = [ChannelParams(s2) for s2 in config.sigma2]
+    tallies = [dict.fromkeys(("witness_positive", "constructive_ok", "lp_success",
+                              "agreement_checked", "agreement", "dead_band",
+                              "size_bound_violations"), 0) for _ in cells]
+    for t in range(config.trials):
+        z = trial_noise(config.seed, t, g.n)
+        for ch, tally in zip(cells, tallies):
+            lamp = apply_map(spec, normalized_llr(zeros_bar + ch.sigma * z, ch))
             u = high_noise_set(lamp)
             udot = boundary_set(g, u, params)
             owner = find_delta_matching(g, u, udot, params)
@@ -409,26 +414,21 @@ def run_witness_rate(config):
             s_star = witness_search(g, lamp)
             out = lp_decode(g, lamp)
             success = out.is_zero_codeword()
-            wpos += s_star > 0
-            constructive += built_ok
-            success_n += success
+            tally["witness_positive"] += s_star > 0
+            tally["constructive_ok"] += built_ok
+            tally["lp_success"] += success
             if abs(s_star) > DEAD_BAND:
-                checked += 1
-                agree += (s_star > 0) == success
+                tally["agreement_checked"] += 1
+                tally["agreement"] += (s_star > 0) == success
             else:
-                dead += 1
-            if expansion == "verified":
-                an = params.alpha_exp * g.n
-                size_u = int(np.count_nonzero(u))  # Python ints keep viol a Python int
+                tally["dead_band"] += 1
+            if an is not None:
+                size_u = int(np.count_nonzero(u))  # Python ints keep the count a Python int
                 if size_u <= (an - 1.0) / (1.0 + params.gamma):
-                    viol += size_u + int(np.count_nonzero(udot)) > an + 1e-9
-        rows.append(WitnessRateRow(
-            sigma2=s2, trials=config.trials, witness_positive=wpos,
-            constructive_ok=constructive, lp_success=success_n,
-            agreement_checked=checked, agreement=agree, dead_band=dead,
-            expansion=expansion, size_bound_violations=viol,
-        ))
-    return rows
+                    tally["size_bound_violations"] += (
+                        size_u + int(np.count_nonzero(udot)) > an + 1e-9)
+    return [WitnessRateRow(sigma2=ch.sigma2, trials=config.trials, expansion=expansion, **tally)
+            for ch, tally in zip(cells, tallies)]
 
 
 def emit_csv(results, path, row_type=None):

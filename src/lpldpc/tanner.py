@@ -79,10 +79,17 @@ class TannerGraph:
     ``var_indices[k]``. ``check_nbrs`` and ``var_nbrs`` are tuple views built
     from these arrays on each access. Parallel edges are rejected. Instances
     are safe to share across threads.
+
+    Hash and equality read one key, stored with the arrays: ``n`` and the
+    bytes of ``check_indptr`` and ``check_indices``. Two graphs are equal
+    when they have the same ``n``, the same check degrees in the same check
+    order, and the same variables in the same order within every check; the
+    key's bytes cache their hash, so a graph hashes in O(1) after its first
+    hash.
     """
 
     __slots__ = ("n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices",
-                 "var_degrees", "check_degrees", "edge_var")
+                 "var_degrees", "check_degrees", "edge_var", "_key")
 
     def __init__(self, n, check_nbrs):
         n = operator.index(n)
@@ -126,6 +133,7 @@ class TannerGraph:
         self.var_indptr, self.var_indices = var_indptr, var_check
         self.var_degrees, self.check_degrees = var_degrees, check_degrees
         self.edge_var = var_sorted
+        self._key = (n, check_indptr.tobytes(), var_of.tobytes())
         for arr in (check_indptr, var_of, var_indptr, var_check,
                     var_degrees, check_degrees, var_sorted):
             arr.flags.writeable = False
@@ -134,11 +142,10 @@ class TannerGraph:
     def __eq__(self, other):
         if not isinstance(other, TannerGraph):
             return NotImplemented
-        return (self.n == other.n and np.array_equal(self.check_indptr, other.check_indptr)
-                and np.array_equal(self.check_indices, other.check_indices))
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.n, self.check_indptr.tobytes(), self.check_indices.tobytes()))
+        return hash(self._key)
 
     def __repr__(self):
         return f"TannerGraph(n={self.n}, m={self.m}, edges={self.num_edges})"

@@ -253,15 +253,19 @@ def find_delta_matching(g, u, udot, params):
     variables. Each high-noise variable needs delta*d_v checks and each
     boundary variable delta'*d_v, and no check may serve two variables. The
     matching is returned as ``owner``: the variable holding each check, -1
-    for a free check. Needs are met one check at a time: a breadth-first
-    search from the variable goes from each variable to its checks, and from
-    a held check to its holder, until it reaches a free check; each variable
-    on that path then moves to the next check. This is augmenting-path max
-    flow with the source and sink left implicit. A variable that finds no
-    path now finds none later either, so the answer is None exactly when the
-    needs cannot all be met. The search keeps its own queue, so the path
-    length is not bounded by the recursion limit. The returned matching is
-    re-verified against the graph and the needs.
+    for a free check. Variables are served in index order. A variable first
+    takes its own free checks, in order and up to its need. What it still
+    needs is met one check at a time: a breadth-first search from the
+    variable goes from each variable to its checks, and from a held check to
+    its holder, until it reaches a free check; each variable on that path
+    then moves to the next check. A held check is never freed again, so the
+    first pass takes exactly the checks that these searches would take at
+    their first step. This is augmenting-path max flow with the source and
+    sink left implicit. A variable that finds no path now finds none later
+    either, so the answer is None exactly when the needs cannot all be met.
+    The search keeps its own queue, so the path length is not bounded by the
+    recursion limit. The returned matching is re-verified against the graph
+    and the needs.
     """
     u, udot = _require_mask(g, u, "U"), _require_mask(g, udot, "Udot")
     if (u & udot).any():
@@ -277,7 +281,12 @@ def find_delta_matching(g, u, udot, params):
     ptr, nbrs = g.var_indptr.tolist(), g.var_indices.tolist()
     owner = [-1] * g.m  # variable holding each check
     for root in np.flatnonzero(need).tolist():
-        for _ in range(need[root]):
+        missing = int(need[root])
+        for j in nbrs[ptr[root]:ptr[root + 1]]:
+            if missing and owner[j] < 0:
+                owner[j] = root
+                missing -= 1
+        for _ in range(missing):
             back = {root: (None, None)}  # variable -> (check it came through, previous variable)
             queue = deque([root])
             free = None

@@ -24,7 +24,13 @@ final tableau; the certified decoder must return the same outcome. The
 delta-matching verdict comes from Edmonds-Karp max flow on an explicit
 network with source and sink, rather than from augmenting paths on the
 Tanner graph, and the witness check from weights keyed by (variable, check)
-in a dict, rather than from edge arrays.
+in a dict, rather than from edge arrays. The one-check-per-search matching
+is ``find_delta_matching`` before roots took their own free checks in one
+pass; the new search must return the same owner arrays. The cell-major
+``run_wer`` and ``run_witness_rate`` redraw each trial's noise (and
+codeword) in every (map, sigma2) cell through ``transmit_awgn``; the
+trial-major drivers, which draw them once per trial, must write the same
+CSV bytes.
 """
 
 import itertools
@@ -702,3 +708,156 @@ def check_feasible_by_dicts(g, tau, lamp):
     sums = np.array([sum(tau[(i, j)] for j in var_nbrs[i]) for i in range(g.n)])
     margin = float((lamp - sums).min())
     return bad is None and margin > 0.0, margin, bad is None, bad
+
+
+def find_delta_matching_one_check_per_bfs(g, u, udot, params):
+    """``find_delta_matching`` with one breadth-first search per assigned
+    check, its own free checks included: the owner array, or None."""
+    from lpldpc.witness import _require_mask, _verify_matching
+
+    u, udot = _require_mask(g, u, "U"), _require_mask(g, udot, "Udot")
+    if (u & udot).any():
+        raise ValueError("high-noise and boundary sets must be disjoint")
+    per_u, per_udot = max(params.delta_dv, 0), max(params.delta_prime_dv, 0)
+    required = np.count_nonzero(u) * per_u + np.count_nonzero(udot) * per_udot
+    if required == 0:
+        return np.full(g.m, -1, dtype=np.int64)
+    if required > g.m:
+        return None
+    need = u * per_u + udot * per_udot
+
+    ptr, nbrs = g.var_indptr.tolist(), g.var_indices.tolist()
+    owner = [-1] * g.m
+    for root in np.flatnonzero(need).tolist():
+        for _ in range(need[root]):
+            back = {root: (None, None)}
+            queue = deque([root])
+            free = None
+            while queue and free is None:
+                v = queue.popleft()
+                for j in nbrs[ptr[v]:ptr[v + 1]]:
+                    w = owner[j]
+                    if w < 0:
+                        free = j
+                        break
+                    if w not in back:
+                        back[w] = (j, v)
+                        queue.append(w)
+            if free is None:
+                return None
+            j = free
+            while v is not None:
+                owner[j] = v
+                j, v = back[v]
+
+    owner = np.array(owner, dtype=np.int64)
+    if not _verify_matching(g, owner, need):
+        raise RuntimeError("augmenting-path search produced an invalid matching")
+    return owner
+
+
+def run_wer_cell_major(config):
+    """``run_wer`` one (map, sigma2) cell at a time: every cell redraws each
+    trial's codeword (substream 1) and its noise through ``transmit_awgn``."""
+    from lpldpc import (CellResult, ChannelParams, apply_map, bpsk, gf2, lp_decode,
+                        normalized_llr, transmit_awgn, trial_rng)
+
+    g = config.graph.load()
+    basis = None
+    if config.random_codeword:
+        basis = gf2.nullspace_basis(g.parity_check_matrix())
+    results = []
+    zeros = np.zeros(g.n, dtype=np.uint8)
+    for spec in config.maps:
+        for s2 in config.sigma2:
+            params = ChannelParams(s2)
+            mismatch = fractional = tie = 0
+            for t in range(config.trials):
+                if basis is not None and basis.shape[0] > 0:
+                    msg = trial_rng(config.seed, t, stream=1).integers(0, 2, basis.shape[0])
+                    x = (msg @ basis) % 2
+                else:
+                    x = zeros
+                y = transmit_awgn(bpsk(x), params, config.seed, t)
+                lamp = apply_map(spec, normalized_llr(y, params))
+                out = lp_decode(g, lamp)
+                if out.status == "tie":
+                    tie += 1
+                elif out.status == "fractional":
+                    fractional += 1
+                elif (out.codeword != x).any():
+                    mismatch += 1
+            failures = mismatch + fractional + tie
+            wer = failures / config.trials
+            results.append(CellResult(
+                map=str(spec), sigma2=s2, trials=config.trials,
+                mismatch=mismatch, fractional=fractional, tie=tie,
+                failures=failures, wer=wer, stderr=math.sqrt(wer * (1.0 - wer) / config.trials),
+            ))
+    return results
+
+
+def run_witness_rate_cell_major(config):
+    """``run_witness_rate`` one sigma2 cell at a time: every cell redraws each
+    trial's noise through ``transmit_awgn``."""
+    from lpldpc import (ChannelParams, ProofSpec, WitnessRateRow, apply_map, boundary_set, bpsk,
+                        check_expansion, check_feasible, derive_params, find_delta_matching,
+                        high_noise_set, lp_decode, normalized_llr, transmit_awgn,
+                        weights_from_matching, witness_search)
+    from lpldpc.witness import DEAD_BAND
+
+    g = config.graph.load()
+    vd = g.var_degrees
+    if vd.min() != vd.max():
+        raise ValueError("witness-rate needs a variable-regular graph")
+    d_v = int(vd[0])
+    proof = config.proof or ProofSpec()
+    spec = config.maps[0]
+    expansion = "assumed"
+    params = derive_params(proof.w, d_v, proof.delta_hat)
+    if proof.verify_smax is not None:
+        alpha_exp = proof.verify_smax / g.n
+        verdict = check_expansion(g, params.delta_dv, proof.verify_smax)
+        expansion = "verified" if verdict.ok else "assumed"
+        params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
+    kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
+    params.require_kappa(kappa)
+    zeros_bar = bpsk(np.zeros(g.n, dtype=np.uint8))
+
+    rows = []
+    for s2 in config.sigma2:
+        ch = ChannelParams(s2)
+        wpos = constructive = success_n = agree = checked = dead = viol = 0
+        for t in range(config.trials):
+            y = transmit_awgn(zeros_bar, ch, config.seed, t)
+            lamp = apply_map(spec, normalized_llr(y, ch))
+            u = high_noise_set(lamp)
+            udot = boundary_set(g, u, params)
+            owner = find_delta_matching(g, u, udot, params)
+            built_ok = False
+            if owner is not None:
+                tau = weights_from_matching(g, owner, u, kappa, params)
+                built_ok = check_feasible(g, tau, lamp).ok
+            s_star = witness_search(g, lamp)
+            out = lp_decode(g, lamp)
+            success = out.is_zero_codeword()
+            wpos += s_star > 0
+            constructive += built_ok
+            success_n += success
+            if abs(s_star) > DEAD_BAND:
+                checked += 1
+                agree += (s_star > 0) == success
+            else:
+                dead += 1
+            if expansion == "verified":
+                an = params.alpha_exp * g.n
+                size_u = int(np.count_nonzero(u))
+                if size_u <= (an - 1.0) / (1.0 + params.gamma):
+                    viol += size_u + int(np.count_nonzero(udot)) > an + 1e-9
+        rows.append(WitnessRateRow(
+            sigma2=s2, trials=config.trials, witness_positive=wpos,
+            constructive_ok=constructive, lp_success=success_n,
+            agreement_checked=checked, agreement=agree, dead_band=dead,
+            expansion=expansion, size_bound_violations=viol,
+        ))
+    return rows

@@ -14,6 +14,7 @@ from lpldpc import (
     normalized_llr,
     qfunc,
     transmit_awgn,
+    trial_noise,
     trial_rng,
 )
 
@@ -52,6 +53,16 @@ def test_transmit_zero_noise_limit():
     xbar = bpsk(np.array([0, 1, 0, 0]))
     y = transmit_awgn(xbar, ChannelParams(1e-30), seed=1, trial=0)
     assert np.allclose(y, xbar, atol=1e-9)
+
+
+def test_transmit_scales_the_trials_unit_noise():
+    # one draw of substream 0 per trial; every noise variance scales it
+    xbar = bpsk(np.array([0, 1, 0, 0, 1]))
+    z = trial_noise(7, 3, xbar.shape)
+    assert np.array_equal(z, trial_rng(7, 3, stream=0).standard_normal(5))
+    for s2 in (0.25, 0.5, 2.0):
+        params = ChannelParams(s2)
+        assert np.array_equal(transmit_awgn(xbar, params, 7, 3), xbar + params.sigma * z)
 
 
 def test_transmit_rejects_non_signal():

@@ -33,7 +33,13 @@ from lpldpc import (
 
 from lpldpc import simcli, tanner
 
-from oracles import lp_decode_always_probe, pseudo_scan_by_connectivity_bfs, var_regular_graph
+from oracles import (
+    lp_decode_always_probe,
+    pseudo_scan_by_connectivity_bfs,
+    run_wer_cell_major,
+    run_witness_rate_cell_major,
+    var_regular_graph,
+)
 
 
 def wer_config(**overrides):
@@ -245,6 +251,93 @@ def test_run_wer_is_deterministic_and_order_independent():
     first = by_key(run_wer(cfg))
     second = by_key(run_wer(swapped))
     assert first == second
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """Scratch directory for CSVs, with the witness-rate graphs as alist:
+    ``verified`` passes the pair-expansion check at verify_smax 2,
+    ``assumed`` does not."""
+    path = tmp_path_factory.mktemp("trial-major")
+    for name, args in (("verified", (12, 25, 375, 0)), ("assumed", (18, 25, 200, 3))):
+        (path / f"{name}.alist").write_text(emit_alist(var_regular_graph(*args)))
+    return path
+
+
+def _same_csv_bytes(csv_dir, run, reference, cfg):
+    emit_csv(run(cfg), csv_dir / "run.csv")
+    emit_csv(reference(cfg), csv_dir / "reference.csv")
+    return (csv_dir / "run.csv").read_bytes() == (csv_dir / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("random_codeword", [False, True])
+@pytest.mark.parametrize("trials", [1, 3])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_run_wer_trial_major_writes_the_cell_major_csv(csv_dir, random_codeword, trials, seed):
+    # one noise draw (and one codeword) per trial, shared by every cell
+    cfg = wer_config(graph={"n": 24, "dv": 3, "dc": 4, "seed": 3},
+                     maps=["quantize2:1", "trivial", "threshold:1.0"], sigma2=[0.8, 0.5],
+                     trials=trials, seed=seed, random_codeword=random_codeword)
+    assert _same_csv_bytes(csv_dir, run_wer, run_wer_cell_major, cfg)
+
+
+@pytest.mark.parametrize("graph", ["verified", "assumed"])
+@pytest.mark.parametrize("verify_smax", [None, 2])
+@pytest.mark.parametrize("trials", [1, 3])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_run_witness_rate_trial_major_writes_the_cell_major_csv(csv_dir, graph, verify_smax,
+                                                                trials, seed):
+    cfg = ExperimentConfig.from_json({
+        "mode": "witness-rate", "graph": {"path": str(csv_dir / f"{graph}.alist")},
+        "maps": ["threshold:1.0"], "sigma2": [0.0625, 0.25, 1.0], "trials": trials,
+        "seed": seed, "proof": {"w": 1.0, "verify_smax": verify_smax},
+    })
+    assert _same_csv_bytes(csv_dir, run_witness_rate, run_witness_rate_cell_major, cfg)
+
+
+def test_trial_major_csvs_cover_every_outcome(csv_dir):
+    # the configs above at a fixed seed and 12 trials reach every tally
+    wer = run_wer(wer_config(graph={"n": 24, "dv": 3, "dc": 4, "seed": 3},
+                             maps=["quantize2:1", "trivial", "threshold:1.0"], sigma2=[0.8, 0.5],
+                             trials=12, seed=2, random_codeword=True))
+    assert all(sum(getattr(c, name) for c in wer) > 0 for name in ("mismatch", "fractional", "tie"))
+    rows = run_witness_rate(ExperimentConfig.from_json({
+        "mode": "witness-rate", "graph": {"path": str(csv_dir / "verified.alist")},
+        "maps": ["threshold:1.0"], "sigma2": [0.0625, 0.25, 1.0], "trials": 12, "seed": 1,
+        "proof": {"w": 1.0, "verify_smax": 2},
+    }))
+    assert rows[0].expansion == "verified"
+    # matchings found and matchings missing
+    assert rows[0].constructive_ok == 12 and rows[-1].constructive_ok < 12
+
+
+def test_drivers_draw_each_trials_noise_and_codeword_once(csv_dir, monkeypatch):
+    from lpldpc import channel
+
+    draws = collections.Counter()
+    real = channel.trial_rng
+
+    def counting(seed, trial, stream=0):
+        draws[stream, trial] += 1
+        return real(seed, trial, stream)
+
+    monkeypatch.setattr(channel, "trial_rng", counting)
+    monkeypatch.setattr(simcli, "trial_rng", counting)
+    run_wer(wer_config(maps=["trivial", "quantize2:1"], sigma2=[0.5, 0.8], trials=3,
+                       random_codeword=True))
+    assert draws == {(stream, t): 1 for stream in (0, 1) for t in range(3)}
+    draws.clear()
+    run_wer(wer_config(maps=["trivial", "threshold:1.0"], sigma2=[0.5, 0.8], trials=3))
+    assert draws == {(0, t): 1 for t in range(3)}
+    draws.clear()
+    run_witness_rate(ExperimentConfig.from_json({
+        "mode": "witness-rate", "graph": {"path": str(csv_dir / "verified.alist")},
+        "maps": ["threshold:1.0"], "sigma2": [0.0625, 0.25], "trials": 3, "seed": 5,
+        "proof": {"w": 1.0, "verify_smax": 2},
+    }))
+    assert draws == {(0, t): 1 for t in range(3)}
 
 
 def test_run_wer_monotone_in_noise():

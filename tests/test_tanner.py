@@ -285,13 +285,50 @@ def test_graph_stores_only_csr_arrays():
     g = generate_regular(8, 3, 4, seed=1)
     assert set(TannerGraph.__slots__) == {
         "n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices",
-        "var_degrees", "check_degrees", "edge_var"}
+        "var_degrees", "check_degrees", "edge_var", "_key"}
     with pytest.raises(AttributeError):
         g.check_nbrs = ()
     # equal graphs built apart hash alike; the check order matters
     assert hash(TannerGraph(3, [[0, 1], [1, 2]])) == hash(TannerGraph(3, [(0, 1), (1, 2)]))
     assert TannerGraph(3, [[0, 1], [1, 2]]) != TannerGraph(3, [[1, 2], [0, 1]])
     assert TannerGraph(3, [[0, 1], [2]]) != TannerGraph(3, [[0], [1, 2]])
+
+
+@pytest.mark.parametrize("n, d_v, d_c, seed", [(8, 3, 4, 1), (24, 3, 4, 3), (48, 3, 6, 3)])
+def test_graphs_built_three_ways_hash_and_compare_equal(n, d_v, d_c, seed):
+    made = generate_regular(n, d_v, d_c, seed)
+    built = TannerGraph(n, made.check_nbrs)
+    parsed = parse_alist(emit_alist(made))
+    for g in (built, parsed, parse_alist(emit_alist(made).encode())):
+        assert g is not made and g == made and made == g
+        assert hash(g) == hash(made)
+    assert len({made, built, parsed}) == 1
+
+
+def test_graphs_differing_in_row_order_or_check_indptr_compare_unequal():
+    base = TannerGraph(4, [[0, 1], [2, 3]])
+    assert base == TannerGraph(4, [(0, 1), (2, 3)])
+    # the same edges, another variable order inside one check
+    assert base != TannerGraph(4, [[1, 0], [2, 3]])
+    # the same check_indices, another check_indptr
+    other = TannerGraph(4, [[0], [1, 2, 3]])
+    assert np.array_equal(other.check_indices, base.check_indices)
+    assert base != other
+    # the same CSR arrays, another n; and a graph is no tuple or array
+    assert base != TannerGraph(5, [[0, 1], [2, 3]])
+    assert base != (4, [[0, 1], [2, 3]]) and base.__eq__(base.check_indices) is NotImplemented
+
+
+def test_freshly_parsed_equal_graph_hits_the_per_graph_caches():
+    from lpldpc import build_constraints, stopping_core
+
+    text = emit_alist(generate_regular(24, 3, 4, seed=3))
+    first, again = parse_alist(text), parse_alist(text)
+    for cached in (build_constraints, stopping_core):
+        want = cached(first)
+        hits = cached.cache_info().hits
+        assert cached(again) is want
+        assert cached.cache_info().hits == hits + 1
 
 
 def test_parse_rejects_non_ascii_bytes():

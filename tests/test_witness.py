@@ -35,6 +35,7 @@ from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
     check_feasible_by_dicts,
     delta_matching_by_max_flow,
+    find_delta_matching_one_check_per_bfs,
     lift_core_witness,
     pairwise_witness_lp_by_loops,
     q_tail,
@@ -257,6 +258,9 @@ def test_matching_exists_on_verified_expanders():
 
 def _assert_matching_matches_oracle(g, u, udot, params):
     owner = find_delta_matching(g, u, udot, params)
+    reference = find_delta_matching_one_check_per_bfs(g, u, udot, params)
+    assert (owner is None) == (reference is None)
+    assert owner is None or np.array_equal(owner, reference)
     u, udot = set(np.flatnonzero(u).tolist()), set(np.flatnonzero(udot).tolist())
     want = delta_matching_by_max_flow(g, u, udot, params)
     assert (owner is None) == (want is None)
@@ -304,6 +308,45 @@ def test_matching_matches_max_flow_oracle_on_var_regular_graphs(data):
         i for i in range(g.n) if not u[i]
         and len(nu.intersection(var_nbrs[i])) > params.d_v - params.delta_prime_dv}
     _assert_matching_matches_oracle(g, u, udot, params)
+
+
+def _free_checks_meet_needs(g, need):
+    """Whether each variable, served in index order, meets its ``need``
+    from its own still free checks alone, with no augmenting path."""
+    taken = np.zeros(g.m, dtype=bool)
+    for i in np.flatnonzero(need).tolist():
+        checks = g.var_indices[g.var_indptr[i]:g.var_indptr[i + 1]]
+        free = checks[~taken[checks]][:need[i]]
+        if free.size < need[i]:
+            return False
+        taken[free] = True
+    return True
+
+
+def test_matching_equals_one_search_per_check_on_every_kind_of_case():
+    # Roots take their own free checks in one pass before any search. Over
+    # seeded masks, the owner arrays (None included) equal the reference
+    # that runs one breadth-first search per check, and the max-flow verdict
+    # agrees; the cases include matchings that need augmenting paths.
+    rng = np.random.default_rng(17)
+    kinds = Counter()
+    for case in range(240):
+        if case % 4 == 0:
+            g, params = var_regular_graph(18, 25, 200, seed=case), derive_params(1.0, 25)
+            u = rng.random(g.n) < rng.uniform(0.05, 0.25)
+        else:  # about as many checks needed as there are: paths get long
+            d_v, n = int(rng.integers(2, 5)), int(rng.integers(4, 16))
+            k = int(rng.integers(1, d_v))
+            g = var_regular_graph(n, d_v, max(d_v, int(n * k * rng.uniform(0.8, 1.6))), seed=case)
+            params = tiny_params(d_v, k)
+            u = rng.random(g.n) < rng.uniform(0.5, 1.0)
+        udot = boundary_set(g, u, params)
+        need = u * max(params.delta_dv, 0) + udot * max(params.delta_prime_dv, 0)
+        if _assert_matching_matches_oracle(g, u, udot, params):
+            kinds["free checks" if _free_checks_meet_needs(g, need) else "augmented"] += 1
+        else:
+            kinds["more needed than checks" if need.sum() > g.m else "no matching"] += 1
+    assert min(kinds[k] for k in ("free checks", "augmented", "no matching")) >= 25, kinds
 
 
 def test_verify_matching_rejects_invalid_edge_sets():
