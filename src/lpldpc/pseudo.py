@@ -33,10 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PseudoCodeword:
-    """A point of the decoding polytope with a provenance tag."""
+    """A point of the decoding polytope."""
 
     omega: np.ndarray
-    provenance: str = "external"
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
@@ -103,7 +102,7 @@ def canonical_completion(g, root):
     tiers = bfs_tiers(g, root)
     prof = canonical_profile(g, tiers)
     alpha = max_scaling_alpha(g, prof)
-    return PseudoCodeword(alpha * prof, provenance=f"completion:root={root}"), alpha
+    return PseudoCodeword(alpha * prof), alpha
 
 
 def _omega(w):

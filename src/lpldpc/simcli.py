@@ -48,25 +48,16 @@ __all__ = [
     "emit_csv",
 ]
 
-MODES = ("wer", "pseudo-scan", "witness-rate")
+# The config fields each mode reads; a config leaves every other at its default.
+_MODE_READS = {
+    "wer": {"mode", "trials", "seed", "graph", "maps", "sigma2", "out", "random_codeword"},
+    "pseudo-scan": {"mode", "seed", "out", "scan"},
+    "witness-rate": {"mode", "trials", "seed", "graph", "maps", "sigma2", "out", "proof"},
+}
 
 # Graphs per size in a pseudo-weight scan: graph gi of size index ni draws its
 # roots from trial index ni * MAX_GRAPHS_PER_N + gi, unique below this cap.
 MAX_GRAPHS_PER_N = 10_000
-
-
-def _is_int(value):
-    """The config reader's rule for an integer field: an integer, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_ints(section, obj, *names):
-    """Raise ValueError, worded as the config reader words it, unless each
-    named field of ``obj`` is None or an integer."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not _is_int(value):
-            raise ValueError(f"{section}: {name!r} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ class GraphSource:
     seed: int | None = None
 
     def __post_init__(self):
-        _require_ints("graph", self, "n", "dv", "dc", "seed")
+        _check_fields(self, "graph")
         by_path = self.path is not None
         by_gen = None not in (self.n, self.dv, self.dc, self.seed)
         if by_path == by_gen:
@@ -104,10 +95,7 @@ class ScanSpec:
     roots_per_graph: int = 1
 
     def __post_init__(self):
-        _require_ints("scan", self, "dv", "dc", "graphs_per_n", "roots_per_graph")
-        for n in self.n_values:
-            if not _is_int(n):
-                raise ValueError(f"scan: each entry of 'n_values' must be an integer, got {n!r}")
+        _check_fields(self, "scan")
         if not self.n_values:
             raise ValueError("scan needs at least one n value")
         if not 3 <= self.dv < self.dc:
@@ -133,7 +121,7 @@ class ProofSpec:
     verify_smax: int | None = None
 
     def __post_init__(self):
-        _require_ints("proof", self, "verify_smax")
+        _check_fields(self, "proof")
 
 
 @dataclass(frozen=True)
@@ -152,9 +140,13 @@ class ExperimentConfig:
     proof: ProofSpec | None = None
 
     def __post_init__(self):
-        _require_ints("config", self, "trials", "seed")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_fields(self, "config")
+        if self.mode not in _MODE_READS:
+            raise ValueError(f"mode must be one of {tuple(_MODE_READS)}, got {self.mode!r}")
+        reads = _MODE_READS[self.mode]
+        for f in dataclasses.fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"config: {f.name!r} is not read by {self.mode} mode")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -191,49 +183,68 @@ class ExperimentConfig:
         return _read_section(cls, obj, "config")
 
 
-# Per field type: the exact JSON types it takes, their name, a conversion.
-_JSON_TYPES = {int: ({int}, "an integer", int), float: ({int, float}, "a number", float),
-               bool: ({bool}, "a boolean", bool), str: ({str}, "a string", str),
-               MapSpec: ({str}, "a map string", MapSpec.parse)}
+# Per field type: the types a value may have (a bool only for a bool field),
+# what an error says it must be, and the conversion stored (None: as given).
+_RULES = {int: (numbers.Integral, "an integer", None), float: (numbers.Real, "a number", float),
+          bool: (bool, "a boolean", None), str: (str, "a string", None),
+          MapSpec: ((MapSpec, str), "a map string",
+                    lambda v: MapSpec.parse(v) if isinstance(v, str) else v)}
+
+
+def _field_rules(cls):
+    """(name, optional, many, accepted, kind, convert) per field of ``cls``;
+    ``X | None`` is optional, ``tuple[X, ...]`` many, a section its class."""
+    rules = []
+    for name, tp in typing.get_type_hints(cls).items():  # X, X | None or tuple[X, ...]
+        optional, many = type(None) in typing.get_args(tp), typing.get_origin(tp) is tuple
+        tp = typing.get_args(tp)[0] if optional or many else tp
+        rules.append((name, optional, many, *_RULES.get(tp, (tp, "an object", None))))
+    return tuple(rules)
+
+
+# Resolved once: typing.get_type_hints costs far more than a whole config.
+_FIELDS = {cls: _field_rules(cls) for cls in (GraphSource, ScanSpec, ProofSpec, ExperimentConfig)}
+
+
+def _check_fields(obj, section):
+    """Store each field of config dataclass ``obj`` normalized (a float for a
+    number, a tuple for a list, a MapSpec for a map string), or raise
+    ValueError naming ``section`` and the field if it has another type."""
+    for name, optional, many, accepted, kind, convert in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        entries = value if many else (value,)
+        if not isinstance(entries, (list, tuple)) or not all(
+                isinstance(v, accepted) and (accepted is bool or not isinstance(v, bool))
+                for v in entries):
+            kind = f"a list, each entry {kind}" if many else kind
+            raise ValueError(f"{section}: {name!r} must be {kind}, got {value!r}")
+        if convert is not None:
+            converted = []
+            for v in entries:
+                try:
+                    converted.append(convert(v))
+                except (ValueError, OverflowError) as exc:  # a bad map string, a huge int
+                    raise ValueError(f"{section}: {name!r} entry {v!r}: {exc}") from exc
+            entries = converted
+        object.__setattr__(obj, name, tuple(entries) if many else entries[0])
 
 
 def _read_section(cls, obj, section):
-    """The dataclass ``cls`` read from the JSON object ``obj`` of config
-    ``section``: one key per field, the field's default where a key is left
-    out. Each value must have its field's JSON type (``_JSON_TYPES``; a list
-    of those for ``tuple[X, ...]``, an object, read as section ``key``, for a
-    dataclass, and null or X for ``X | None``). A wrong type, an unknown key
-    or a missing required one raises ValueError naming the section and key."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    """The dataclass ``cls`` built from the JSON object ``obj`` of config
+    ``section``, an object read as a section where the field holds one; ``cls``
+    checks the values. An unknown or missing required key raises ValueError."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
     for key in obj:
-        if key not in defaults:
+        if key not in fields:
             raise ValueError(f"{section}: unknown key {key!r}")
-    values = {}
-    for key, tp in typing.get_type_hints(cls).items():
-        if key not in obj:
-            if defaults[key] is dataclasses.MISSING:
-                raise ValueError(f"{section}: missing key {key!r}")
-            continue
-        value = obj[key]
-        if type(None) in typing.get_args(tp):  # X | None
-            if value is None:
-                continue
-            tp = typing.get_args(tp)[0]
-        item = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
-        if item not in _JSON_TYPES:  # a dataclass
-            if type(value) is not dict:
-                raise ValueError(f"{section}: {key!r} must be an object, got {value!r}")
-            values[key] = _read_section(tp, value, key)
-            continue
-        accepted, kind, convert = _JSON_TYPES[item]
-        if item is tp and type(value) in accepted:
-            values[key] = convert(value)
-        elif item is not tp and type(value) is list and all(type(v) in accepted for v in value):
-            values[key] = tuple(map(convert, value))
-        else:
-            kind = kind if item is tp else f"a list, each entry {kind}"
-            raise ValueError(f"{section}: {key!r} must be {kind}, got {value!r}")
-    return cls(**values)
+    for key, default in fields.items():
+        if key not in obj and default is dataclasses.MISSING:
+            raise ValueError(f"{section}: missing key {key!r}")
+    return cls(**{key: _read_section(accepted, obj[key], key)
+                  if accepted in _FIELDS and type(obj[key]) is dict else obj[key]
+                  for key, _, _, accepted, *_ in _FIELDS[cls] if key in obj})
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,14 @@ _WER = {"graph": {"n": 8, "dv": 3, "dc": 4, "seed": 2}, "maps": ["trivial"],
     pytest.param("wer", {**_WER, "trials": "5"}, "trials", id="string-trials"),
     pytest.param("wer", {**_WER, "trials": 2.5}, "trials", id="fractional-trials"),
     pytest.param("wer", {**_WER, "graph": "g.alist"}, "graph", id="graph-not-an-object"),
+    pytest.param("wer", {**_WER, "maps": ["threshold:abc"]}, "maps", id="map-that-does-not-parse"),
+    pytest.param("wer", {**_WER, "sigma2": [10**400]}, "sigma2", id="number-beyond-float"),
+    pytest.param("wer", {**_WER, "scan": {"n_values": [16], "dv": 3, "dc": 4}}, "scan",
+                 id="scan-in-wer"),
+    pytest.param("witness-rate", {**_WER, "maps": ["threshold:1.0"], "random_codeword": True},
+                 "random_codeword", id="random-codeword-in-witness-rate"),
+    pytest.param("pseudo-scan", {"scan": {"n_values": [16], "dv": 3, "dc": 4}, "trials": 50},
+                 "trials", id="trials-in-pseudo-scan"),
 ])
 def test_sim_bad_config_reports_error(tmp_path, capsys, mode, cfg, key):
     cfg_path = tmp_path / "cfg.json"

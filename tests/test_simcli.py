@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -42,17 +43,29 @@ from oracles import (
 )
 
 
+_WER_CONFIG = {
+    "mode": "wer",
+    "graph": {"n": 12, "dv": 3, "dc": 4, "seed": 11},
+    "maps": ["trivial"],
+    "sigma2": [0.5],
+    "trials": 40,
+    "seed": 9,
+}
+
+
 def wer_config(**overrides):
-    base = {
-        "mode": "wer",
-        "graph": {"n": 12, "dv": 3, "dc": 4, "seed": 11},
-        "maps": ["trivial"],
-        "sigma2": [0.5],
-        "trials": 40,
-        "seed": 9,
-    }
-    base.update(overrides)
-    return ExperimentConfig.from_json(base)
+    return ExperimentConfig.from_json({**_WER_CONFIG, **overrides})
+
+
+def config_in_python(obj):
+    """The config of JSON object ``obj`` built by the dataclass constructors alone."""
+    sections = {"graph": GraphSource, "scan": ScanSpec, "proof": ProofSpec}
+    return ExperimentConfig(**{key: sections[key](**v) if key in sections else v
+                               for key, v in obj.items()})
+
+
+def wer_config_in_python(**overrides):
+    return config_in_python({**_WER_CONFIG, **overrides})
 
 
 def test_config_from_json_file(tmp_path):
@@ -109,6 +122,21 @@ def test_readme_example_configs_parse_as_before():
     assert [repr(c) for c in got] == [repr(c) for c in want]  # repr tells 1 from 1.0
 
 
+# Config values of a wrong type, as JSON overrides of wer_config, and the error
+_WRONG_TYPES = [
+    ({"seed": True}, "config: 'seed' must be an integer, got True"),
+    ({"trials": 5.0}, "config: 'trials' must be an integer, got 5.0"),
+    ({"sigma2": 0.5}, "config: 'sigma2' must be a list, each entry a number, got 0.5"),
+    ({"sigma2": [0.5, "0.9"]}, "config: 'sigma2' must be a list, each entry a number"),
+    ({"maps": "trivial"}, "config: 'maps' must be a list, each entry a map string"),
+    ({"out": 3}, "config: 'out' must be a string, got 3"),
+    ({"graph": {"n": 12, "dv": 3, "dc": 4, "seed": 11, "sed": 1}}, "graph: unknown key 'sed'"),
+    ({"graph": {"n": 12, "dv": 3.0, "dc": 4, "seed": 11}}, "graph: 'dv' must be an integer"),
+    ({"proof": {"w": "1"}}, "proof: 'w' must be a number, got '1'"),
+    ({"proof": {"verify_smax": 2.0}}, "proof: 'verify_smax' must be an integer, got 2.0"),
+]
+
+
 def test_config_reader_checks_each_section_against_its_fields():
     # defaults come from the dataclasses; null stands for an optional field's None
     cfg = ExperimentConfig.from_json({"mode": "pseudo-scan", "out": None,
@@ -117,24 +145,23 @@ def test_config_reader_checks_each_section_against_its_fields():
     # JSON integers are numbers: sigma2 and w come out as floats
     cfg = wer_config(sigma2=[1])
     assert cfg.sigma2 == (1.0,) and type(cfg.sigma2[0]) is float
-    for overrides, message in [
-        ({"seed": True}, "config: 'seed' must be an integer, got True"),
-        ({"trials": 5.0}, "config: 'trials' must be an integer, got 5.0"),
-        ({"sigma2": 0.5}, "config: 'sigma2' must be a list, each entry a number, got 0.5"),
-        ({"sigma2": [0.5, "0.9"]}, "config: 'sigma2' must be a list, each entry a number"),
-        ({"maps": "trivial"}, "config: 'maps' must be a list, each entry a map string"),
-        ({"out": 3}, "config: 'out' must be a string, got 3"),
-        ({"graph": {"n": 12, "dv": 3, "dc": 4, "seed": 11, "sed": 1}}, "graph: unknown key 'sed'"),
-        ({"graph": {"n": 12, "dv": 3.0, "dc": 4, "seed": 11}}, "graph: 'dv' must be an integer"),
-        ({"proof": {"w": "1"}}, "proof: 'w' must be a number, got '1'"),
-        ({"proof": {"verify_smax": 2.0}}, "proof: 'verify_smax' must be an integer, got 2.0"),
-    ]:
+    for overrides, message in _WRONG_TYPES:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             wer_config(**overrides)
     with pytest.raises(ValueError, match="^config: missing key 'mode'$"):
         ExperimentConfig.from_json({"scan": {"n_values": [16], "dv": 3, "dc": 4}})
     with pytest.raises(ValueError, match="^config must be a JSON object$"):
         ExperimentConfig.from_json([{"mode": "wer"}])
+
+
+def test_dataclasses_built_in_python_check_as_the_config_reader_does():
+    for overrides, message in _WRONG_TYPES:
+        if "unknown key" in message:  # Python rejects an unknown keyword itself
+            with pytest.raises(TypeError, match="'sed'"):
+                wer_config_in_python(**overrides)
+            continue
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            wer_config_in_python(**overrides)
 
 
 @pytest.mark.parametrize("build, field, value", [
@@ -151,8 +178,6 @@ def test_config_reader_checks_each_section_against_its_fields():
     (lambda v: ScanSpec(n_values=(16,), dv=3, dc=4, graphs_per_n=v), "scan: 'graphs_per_n'", 2.0),
     (lambda v: ScanSpec(n_values=(16,), dv=3, dc=4, roots_per_graph=v),
      "scan: 'roots_per_graph'", True),
-    (lambda v: ScanSpec(n_values=(16, v), dv=3, dc=4),
-     "scan: each entry of 'n_values'", 24.0),
     (lambda v: ProofSpec(verify_smax=v), "proof: 'verify_smax'", 2.0),
 ])
 def test_dataclasses_built_in_python_reject_non_integers(build, field, value):
@@ -162,10 +187,81 @@ def test_dataclasses_built_in_python_reject_non_integers(build, field, value):
         build(value)
 
 
+def test_scan_spec_built_in_python_words_a_fractional_size_as_the_reader_does():
+    with pytest.raises(ValueError, match=re.escape(
+            "scan: 'n_values' must be a list, each entry an integer, got (16, 24.0)") + "$"):
+        ScanSpec(n_values=(16, 24.0), dv=3, dc=4)
+
+
+def test_dataclasses_built_in_python_normalize_as_the_config_reader_does(tmp_path):
+    with pytest.raises(ValueError, match="^config: 'random_codeword' must be a boolean, "
+                                         "got 'false'$"):
+        wer_config_in_python(random_codeword="false")
+    with pytest.raises(ValueError, match="^proof: 'w' must be a number, got '1.0'$"):
+        ProofSpec(w="1.0")
+    with pytest.raises(ValueError, match=r"^config: 'graph' must be an object, got \{'n': 12"):
+        ExperimentConfig(**{**_WER_CONFIG, "maps": (MapSpec.trivial(),)})
+    # lists become tuples, numbers floats, map strings MapSpecs: a hashable config
+    hash(wer_config_in_python(sigma2=[0.5]))
+    cfg = wer_config_in_python(maps=("trivial", "threshold:1"), sigma2=(np.float64(0.5), 1),
+                               trials=4)
+    twin = wer_config(maps=["trivial", "threshold:1"], sigma2=[0.5, 1], trials=4)
+    assert cfg == twin and repr(cfg) == repr(twin) and hash(cfg) == hash(twin)
+    assert [type(s2) for s2 in cfg.sigma2] == [float, float]
+    emit_csv(run_wer(cfg), tmp_path / "python.csv")
+    emit_csv(run_wer(twin), tmp_path / "json.csv")
+    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "json.csv").read_bytes()
+    with open(tmp_path / "python.csv", newline="") as fh:
+        assert [r["sigma2"] for r in csv.DictReader(fh)] == ["0.5", "1.0"] * 2
+
+
+def test_config_map_string_that_does_not_parse_names_its_key():
+    message = "config: 'maps' entry 'threshold:abc': could not convert string to float: 'abc'"
+    for build in (wer_config, wer_config_in_python):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build(maps=["trivial", "threshold:abc"])
+    with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        MapSpec.parse("threshold:abc")
+
+
+@pytest.mark.parametrize("mode, key, value", [
+    ("wer", "scan", {"n_values": [16], "dv": 3, "dc": 4}),
+    ("wer", "proof", {"w": 1.0}),
+    ("witness-rate", "random_codeword", True),
+    ("witness-rate", "scan", {"n_values": [16], "dv": 3, "dc": 4}),
+    ("pseudo-scan", "graph", {"n": 12, "dv": 3, "dc": 4, "seed": 11}),
+    ("pseudo-scan", "maps", ["trivial"]),
+    ("pseudo-scan", "sigma2", [0.5]),
+    ("pseudo-scan", "trials", 50),
+    ("pseudo-scan", "random_codeword", True),
+    ("pseudo-scan", "proof", {"w": 1.0}),
+])
+def test_a_value_its_mode_never_reads_is_an_error(mode, key, value):
+    base = {"wer": _WER_CONFIG,
+            "witness-rate": {**_WER_CONFIG, "mode": "witness-rate", "maps": ["threshold:1.0"]},
+            "pseudo-scan": {"mode": "pseudo-scan", "scan": {"n_values": [16], "dv": 3, "dc": 4}}}
+    message = f"config: {key!r} is not read by {mode} mode"
+    for build in (ExperimentConfig.from_json, config_in_python):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build({**base[mode], key: value})
+    # at its default the key says nothing that the mode ignores
+    default = {"trials": 1, "maps": [], "sigma2": [], "random_codeword": False}.get(key)
+    ExperimentConfig.from_json({**base[mode], key: default})
+
+
+def test_config_types_are_resolved_once_not_per_config(monkeypatch):
+    def get_type_hints(*args, **kwargs):
+        raise AssertionError("type hints resolved while building a config")
+
+    monkeypatch.setattr(typing, "get_type_hints", get_type_hints)
+    assert wer_config() == wer_config_in_python()
+
+
 def test_dataclasses_built_in_python_take_numpy_integers():
     g = GraphSource(n=np.int64(12), dv=np.int32(3), dc=4, seed=np.uint64(1)).load()
     assert g == generate_regular(12, 3, 4, 1)
-    ScanSpec(n_values=(np.int64(16),), dv=3, dc=4, graphs_per_n=np.int64(2))
+    scan = ScanSpec(n_values=[np.int64(16)], dv=3, dc=4, graphs_per_n=np.int64(2))
+    assert type(scan.n_values[0]) is np.int64 and type(scan.graphs_per_n) is np.int64
 
 
 def test_scan_spec_caps_graphs_per_n_at_the_root_stream_stride():
