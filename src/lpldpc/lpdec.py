@@ -90,32 +90,74 @@ def build_constraints(g):
     return PolytopeConstraints(n=g.n, a=a, b=b, row_check=row_check)
 
 
-def _odd_subset_gaps(g, w):
-    """Most violated odd-subset row of every size at each check.
+def _odd_subset_rows(g, w):
+    """Each check's entries of ``w`` in descending order, one sort per degree.
 
-    Over size-s subsets S, sum_S w - sum_rest w peaks at the s largest
-    entries: the gap 2 * csum[s - 1] - total of the descending prefix sums.
-    Yields ``(checks, gaps)`` per degree, ascending and skipping degree 0;
-    ``gaps[k, t]`` is check ``checks[k]``'s gap at size 2t + 1 (bound 2t).
+    Yields ``(checks, rows)`` per check degree, ascending and skipping degree
+    0: ``rows[k]`` lists check ``checks[k]``'s entries, largest first. When
+    all checks share one degree d, the single group is gathered as
+    ``w[check_indices.reshape(m, d)]``, with no grouping by degree.
     """
     degs = g.check_degrees
-    for d in np.unique(degs[degs > 0]):
-        checks = np.flatnonzero(degs == d)
-        edge = g.check_indptr[checks, None] + np.arange(d)
-        vals = np.sort(w[g.check_indices[edge]], axis=1)[:, ::-1]
-        total = vals.sum(axis=1)
-        yield checks, 2.0 * np.cumsum(vals, axis=1)[:, ::2] - total[:, None]
+    d = int(degs.max())
+    if d * g.m == g.num_edges:  # every degree is d
+        groups = [(np.arange(g.m), g.check_indices.reshape(g.m, d))] if d else []
+    else:
+        groups = []
+        for d in np.unique(degs[degs > 0]):
+            checks = np.flatnonzero(degs == d)
+            groups.append((checks, g.check_indices[g.check_indptr[checks, None] + np.arange(d)]))
+    for checks, var_rows in groups:
+        yield checks, np.sort(w[var_rows], axis=1)[:, ::-1]
+
+
+def _odd_subset_gaps(rows):
+    """Most violated odd-subset row of every size at each check of ``rows``.
+
+    ``rows`` holds checks' entries in descending order, as
+    ``_odd_subset_rows`` yields them. Over size-s subsets S,
+    sum_S w - sum_rest w peaks at the s largest entries: the gap
+    2 * csum[s - 1] - total of the descending prefix sums. Returns ``gaps``
+    with ``gaps[t, k]`` the gap of check k at size 2t + 1 (bound 2t). The
+    prefix sums run down the columns, one vector add per size, and give the
+    floats of ``np.cumsum`` along each row.
+    """
+    cols = rows.T
+    csum = np.empty(cols.shape)
+    csum[0] = cols[0]
+    for s in range(1, len(cols)):
+        np.add(csum[s - 1], cols[s], out=csum[s])
+    # numpy adds fewer than 8 terms in order, so such a row's sum is its last
+    # prefix sum; from 8 terms on it sums pairwise, to other floats
+    total = csum[-1] if len(cols) < 8 else rows.sum(axis=1)
+    return 2.0 * csum[::2] - total
+
+
+def _within_polytope(w, groups, tol=FEASIBILITY_TOL):
+    """``membership``'s test of ``w``, given ``groups``, the lazily yielded
+    ``_odd_subset_rows`` of ``w``. A NaN propagates through ``min`` and
+    ``max`` and fails both box comparisons, as an infinity fails one; a
+    size's rows all hold when the largest gap over the checks does."""
+    if not (-tol <= w.min() and w.max() <= 1 + tol):
+        return False
+    for _, rows in groups:
+        tops = _odd_subset_gaps(rows).max(axis=1).tolist()
+        if any(top > 2.0 * t + tol for t, top in enumerate(tops)):
+            return False
+    return True
 
 
 def membership(g, w, tol=FEASIBILITY_TOL):
-    """True iff ``w`` satisfies every polytope constraint within ``tol``."""
+    """True iff ``w`` satisfies every polytope constraint within ``tol``.
+
+    No row is built: each check's most violated odd subset of every size
+    comes from one sort per check degree and prefix sums
+    (``_odd_subset_rows``, ``_odd_subset_gaps``), after the box test.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} vector, got shape {w.shape}")
-    if not np.isfinite(w).all() or (w < -tol).any() or (w > 1 + tol).any():
-        return False
-    return all((gaps <= 2.0 * np.arange(gaps.shape[1]) + tol).all()
-               for _, gaps in _odd_subset_gaps(g, w))
+    return _within_polytope(w, _odd_subset_rows(g, w), tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import qfunc
-from .lpdec import _odd_subset_gaps, membership
+from .lpdec import _odd_subset_gaps, _odd_subset_rows, _within_polytope
 from .tanner import bfs_tiers
 
 __all__ = [
@@ -68,28 +68,37 @@ def max_scaling_alpha(g, profile):
     they must already hold for the profile; a violation is reported as an
     error naming the lowest failing check. Both cut-offs are relative to
     max(profile), so the result scales exactly with the profile.
+
+    The result is re-checked with ``membership``'s test of alpha * profile,
+    on alpha times the profile's own sorted rows: rounding is monotone, so
+    these are exactly the sorted rows of alpha * profile, and the profile is
+    gathered and sorted once.
     """
     p = np.asarray(profile, dtype=float)
     if p.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} profile, got shape {p.shape}")
     if not np.isfinite(p).all() or (p < 0).any():
         raise ValueError("profile must be finite and non-negative")
-    if p.max() <= 0:
+    top = p.max()
+    if top <= 0:
         raise ValueError("profile must have a positive entry")
-    alpha = 1.0 / p.max()
+    alpha = 1.0 / top
     failing = []
-    for checks, gaps in _odd_subset_gaps(g, p):
-        failing.extend(checks[gaps[:, 0] > 1e-9 * p.max()].tolist())
-        odd = gaps[:, 1:]  # sizes 3, 5, ...: column t has s - 1 = 2t + 2
-        binding = odd > 1e-12 * p.max()
-        if binding.any():
-            alpha = min(alpha, (2.0 * (np.nonzero(binding)[1] + 1) / odd[binding]).min())
+    groups = list(_odd_subset_rows(g, p))
+    for checks, rows in groups:
+        gaps = _odd_subset_gaps(rows)
+        failing.extend(checks[gaps[0] > 1e-9 * top].tolist())
+        # Sizes 3, 5, ...: size 2t + 1 binds at 2t / gap, least at the
+        # largest gap, and division rounds monotonically.
+        for t, gap in enumerate(gaps[1:].max(axis=1).tolist(), 1):
+            if gap > 1e-12 * top:
+                alpha = min(alpha, 2.0 * t / gap)
     if failing:
         raise ValueError(
             f"check {min(failing)}: size-1 odd-subset constraint fails for the profile "
             "(not a tier profile of a regular graph?)"
         )
-    if not membership(g, alpha * p):
+    if not _within_polytope(alpha * p, ((checks, alpha * rows) for checks, rows in groups)):
         raise RuntimeError("scaled profile failed the membership re-check")
     return float(alpha)
 

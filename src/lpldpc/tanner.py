@@ -164,9 +164,11 @@ class TannerGraph:
 
     def regular_degrees(self):
         """(d_v, d_c) when both sides have uniform degree, else None."""
-        vd, cd = self.var_degrees, self.check_degrees
-        if vd.min() == vd.max() and cd.min() == cd.max():
-            return int(vd[0]), int(cd[0])
+        d_v, d_c = int(self.var_degrees.max()), int(self.check_degrees.max())
+        # no degree exceeds its side's maximum, so the totals equal only
+        # when every degree does
+        if d_v * self.n == d_c * self.m == self.num_edges:
+            return d_v, d_c
         return None
 
     def edges(self):
@@ -381,28 +383,51 @@ def _csr_gather(indptr, indices, nodes):
     return indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
 
 
+def _row_gather(indptr, indices, degrees):
+    """A function of a node array that returns the nodes' CSR rows, in any
+    shape: one fancy index into ``indices`` viewed as rows when every node of
+    the side has the same positive degree, ``_csr_gather`` otherwise."""
+    d = int(degrees.max())
+    if d > 0 and d * degrees.size == indices.size:  # every degree is d
+        rows = indices.reshape(-1, d)
+        return lambda nodes: rows.take(nodes, axis=0)
+    return lambda nodes: _csr_gather(indptr, indices, nodes)
+
+
 def bfs_tiers(g, root):
-    """Tier ordering of all nodes by distance from variable node ``root``."""
+    """Tier ordering of all nodes by distance from variable node ``root``.
+
+    ``root`` is read with ``operator.index``, so a float is a TypeError.
+    Level-synchronous: tier t + 1 is the set of unseen neighbours of the
+    nodes at tier t, on alternating sides. Each side gathers a tier's
+    neighbours with ``_row_gather``, one fancy index per tier when the side
+    is degree-regular. The next frontier is the reached list itself with
+    repeats removed, so a tier costs time in its own size, not in n + m.
+    """
+    root = operator.index(root)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range [0, {g.n})")
     var_tier = np.full(g.n, -1, dtype=np.int64)
     check_tier = np.full(g.m, -1, dtype=np.int64)
     var_tier[root] = 0
-    frontier, tier = np.array([root], dtype=np.int64), 0
-    # Level-synchronous: expand every node at distance `tier`, alternating
-    # sides, so each node is labelled with its distance from the root.
-    sides = ((g.var_indptr, g.var_indices, check_tier),
-             (g.check_indptr, g.check_indices, var_tier))
+    sides = ((_row_gather(g.var_indptr, g.var_indices, g.var_degrees), check_tier),
+             (_row_gather(g.check_indptr, g.check_indices, g.check_degrees), var_tier))
+    slot = np.empty(max(g.n, g.m), dtype=np.int64)
+    frontier, tier, labelled = np.array([root], dtype=np.int64), 0, 1
     while frontier.size:
-        indptr, indices, seen = sides[tier % 2]
-        reached = _csr_gather(indptr, indices, frontier)
+        gather, seen = sides[tier % 2]
+        reached = gather(frontier)
         reached = reached[seen[reached] < 0]
+        # One copy of each node: whichever write to slot[v] lands, exactly
+        # one position of v in ``reached`` reads back its own index.
+        at = np.arange(reached.size)
+        slot[reached] = at
+        frontier = reached[slot[reached] == at]
         tier += 1
-        seen[reached] = tier
-        frontier = np.flatnonzero(seen == tier)
-    if (var_tier < 0).any() or (check_tier < 0).any():
+        seen[frontier] = tier
+        labelled += frontier.size
+    if labelled < g.n + g.m:
         raise DisconnectedGraphError(
             np.flatnonzero(var_tier < 0).tolist(), np.flatnonzero(check_tier < 0).tolist()
         )
-    num_tiers = int(max(var_tier.max(), check_tier.max()))
-    return BfsTiers(root=int(root), var_tier=var_tier, check_tier=check_tier, num_tiers=num_tiers)
+    return BfsTiers(root=root, var_tier=var_tier, check_tier=check_tier, num_tiers=tier - 1)

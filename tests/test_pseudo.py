@@ -23,6 +23,8 @@ from lpldpc import (
     wer_lower_bound,
 )
 
+from lpldpc import lpdec
+
 from conftest import awgn_llr, irregular_graphs
 from oracles import alpha_by_bisection, alpha_by_check_loop, membership_by_rows, q_tail
 
@@ -142,6 +144,40 @@ def test_alpha_equals_check_loop_on_irregular_graphs(data):
     assert got == _alpha_or_error(alpha_by_check_loop, g, prof)
     if isinstance(got, float):
         assert membership_by_rows(g, got * prof)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_alpha_recheck_is_membership_of_the_scaled_profile(data):
+    # max_scaling_alpha re-checks s * profile on s times the profile's own
+    # sorted rows; at alpha and just above it, on the graphs and profiles of
+    # test_alpha_equals_check_loop_on_irregular_graphs, that verdict must be
+    # membership's and the row-by-row oracle's
+    g = data.draw(irregular_graphs(max_degree=20))
+    n = g.n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["uniform", "high", "tiers"]))
+    if kind == "uniform":
+        prof = rng.random(n)
+    elif kind == "high":
+        prof = rng.uniform(0.5, 1.0, size=n)
+    else:
+        prof = 3.0 ** -rng.integers(0, 4, size=n).astype(float)
+    prof[rng.random(n) < 0.1] = 0.0
+    if not prof.any():
+        prof[0] = 1.0
+    try:
+        alpha = max_scaling_alpha(g, prof)
+    except ValueError:
+        return  # a size-1 row fails for the profile itself
+    groups = list(lpdec._odd_subset_rows(g, prof))
+    verdicts = []
+    for s in (alpha, np.nextafter(alpha, np.inf), alpha * (1 + 1e-6)):
+        w = s * prof
+        recheck = lpdec._within_polytope(w, ((checks, s * rows) for checks, rows in groups))
+        assert recheck == membership(g, w) == membership_by_rows(g, w)
+        verdicts.append(recheck)
+    assert verdicts == [True, True, False]
 
 
 def test_alpha_homogeneity(g34_small):

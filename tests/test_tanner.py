@@ -25,6 +25,7 @@ from oracles import (
     generate_regular_by_unique,
     parse_alist_by_tokens,
     tanner_views_by_loops,
+    var_regular_graph,
 )
 
 SINGLE_CHECK_ALIST = """\
@@ -632,6 +633,43 @@ def test_bfs_tiers_matches_queue_oracle(g):
     for root in range(g.n):
         assert _bfs_outcome(lambda: _tiers(g, root)) == \
             _bfs_outcome(lambda: bfs_tiers_by_queue(g, root))
+
+
+def _check_regular_graph(n, d_c, m, seed):
+    """Each of m checks samples d_c distinct variables: a uniform check side
+    and whatever variable degrees the sampling gives."""
+    rng = np.random.default_rng(seed)
+    return TannerGraph(n, [sorted(rng.choice(n, size=d_c, replace=False).tolist())
+                           for _ in range(m)])
+
+
+@pytest.mark.parametrize("g, var_side_uniform", [
+    (var_regular_graph(60, 25, 50, seed=3), True),
+    (_check_regular_graph(24, 4, 30, seed=3), False),  # connected
+    (_check_regular_graph(40, 4, 20, seed=3), False),  # isolated variables
+], ids=["var-regular", "check-regular", "check-regular-disconnected"])
+def test_bfs_tiers_matches_queue_oracle_on_one_sided_regular_graphs(g, var_side_uniform):
+    # one side gathers rows of one width, the other goes through _csr_gather
+    uniform = [int(d.min()) == int(d.max()) for d in (g.var_degrees, g.check_degrees)]
+    assert uniform == [var_side_uniform, not var_side_uniform]
+    for root in range(g.n):
+        assert _bfs_outcome(lambda: _tiers(g, root)) == \
+            _bfs_outcome(lambda: bfs_tiers_by_queue(g, root))
+
+
+def test_bfs_tiers_reads_root_as_an_index(g34_small):
+    want = _tiers(g34_small, 1)
+    for root in (True, np.int64(1), np.uint8(1)):
+        t = bfs_tiers(g34_small, root)
+        assert type(t.root) is int and t.root == 1
+        assert _bfs_outcome(lambda: (t.var_tier, t.check_tier, t.num_tiers)) == \
+            _bfs_outcome(lambda: want)
+    for root in (1.0, np.float64(1.0), "1", None):
+        with pytest.raises(TypeError):
+            bfs_tiers(g34_small, root)
+    for root in (-1, g34_small.n):
+        with pytest.raises(ValueError, match="out of range"):
+            bfs_tiers(g34_small, root)
 
 
 @pytest.mark.parametrize("n, d_v, d_c", [(256, 3, 4), (96, 3, 6), (60, 4, 5)])
