@@ -39,10 +39,9 @@ class PseudoCodeword:
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
-        if not np.isfinite(omega).all():
-            raise ValueError("pseudo-codeword entries must be finite")
-        if (omega < -1e-9).any() or (omega > 1 + 1e-9).any():
-            raise ValueError("pseudo-codeword entries must lie in [0, 1]")
+        # one pass per bound; a NaN fails both tests and an infinity one
+        if not (omega.min(initial=0.0) >= -1e-9 and omega.max(initial=0.0) <= 1 + 1e-9):
+            raise ValueError("pseudo-codeword entries must be finite and lie in [0, 1]")
         object.__setattr__(self, "omega", omega)
 
 

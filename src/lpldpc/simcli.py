@@ -122,6 +122,8 @@ class ProofSpec:
 
     def __post_init__(self):
         _check_fields(self, "proof")
+        if self.verify_smax is not None and self.verify_smax < 1:
+            raise ValueError(f"proof: 'verify_smax' must be >= 1, got {self.verify_smax}")
 
 
 @dataclass(frozen=True)
@@ -394,16 +396,14 @@ def run_witness_rate(config):
     d_v = int(vd[0])
     proof = config.proof or ProofSpec()
     spec = config.maps[0]
-    alpha_exp = None
+    alpha_exp = None if proof.verify_smax is None else proof.verify_smax / g.n
+    params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
+    kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
+    params.require_kappa(kappa)  # before the subset enumeration and the first trial
     expansion = "assumed"
-    params = derive_params(proof.w, d_v, proof.delta_hat)
     if proof.verify_smax is not None:
-        alpha_exp = proof.verify_smax / g.n
         verdict = check_expansion(g, params.delta_dv, proof.verify_smax)
         expansion = "verified" if verdict.ok else "assumed"
-        params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
-    kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
-    params.require_kappa(kappa)  # before the first trial, which may find no matching
     zeros_bar = bpsk(np.zeros(g.n, dtype=np.uint8))
     an = params.alpha_exp * g.n if expansion == "verified" else None
 

@@ -12,13 +12,13 @@ The witness LP is written over the generators of each check's pairwise cone
 rather than over its pairs: one non-negative weight mu per edge, with
 tau_ij = M_j - 2 mu_ij and M_j the sum of mu at check j. Every pairwise sum
 is then 2 * (sum of the other mu) >= 0, so the LP keeps only the variable
-rows and a cap row, instead of one row per pair of edges at a check (a
-number that grows with the square of the check degree). Its optimum is the
-same number as the pairwise LP's. Only the graph's stopping-set core, what
-peeling leaves (``stopping_core``), constrains it: a peeled variable's row
-can always be met through the check that freed it. So the LP is solved on
-the core alone, and not at all when the core is empty; ``witness_search``
-gives both arguments.
+rows, instead of one row per pair of edges at a check (a number that grows
+with the square of the check degree). Its optimum is the same number as the
+pairwise LP's. Only the graph's stopping-set core, what peeling leaves
+(``stopping_core``), constrains it: a peeled variable's row can always be
+met through the check that freed it. So the LP is solved on the core alone,
+and not at all when the core is empty; ``witness_search`` gives both
+arguments.
 """
 
 from __future__ import annotations
@@ -405,40 +405,41 @@ def witness_search(g, lamp):
     generated by the rays e_a and -e_a + sum_{b != a} e_b. So
     tau_ij = M_j - 2 mu_ij + nu_ij with mu, nu >= 0 and
     M_j = sum_{i' in N(j)} mu_i'j. The e_a parts nu only raise variable sums,
-    so nu = 0 loses nothing, and the LP is: maximize s subject to
+    so nu = 0 loses nothing: s* is the largest s with
     sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i for every variable i, over
-    one mu per edge and s split into positive parts. s* > 0 certifies a
-    strictly feasible assignment exists; s* <= 0 certifies none does.
+    one mu >= 0 per edge. s* > 0 certifies a strictly feasible assignment
+    exists; s* <= 0 certifies none does.
 
-    The cap row s <= max|llr| (1 when every LLR is 0) stays. When every
-    check has degree >= 2, its weights sum to (d - 2) M_j >= 0, so summing
-    the variable rows bounds s by the mean LLR and the cap is inactive. At a
-    degree-1 check tau is -mu, unbounded below, and without the cap s can be
-    unbounded too; then s* equals the cap. Only a positive cap gives such an
-    LP the right sign: max(llr) would be wrong whenever every LLR is
-    negative, and max|llr| alone whenever every LLR is 0.
-
-    The LP is solved on the stopping-set core R alone (``stopping_core``).
-    Column mu_ij is -1 in row i and +1 in the rows of the other variables at
-    check j. When check j freed variable i during peeling, those variables
-    were all freed before i; so setting the freeing mu in reverse peel order,
-    each large enough for its own row, meets every peeled row whatever s is,
-    and touches no row in R. Every other column at a peeled variable has no
+    Only the stopping-set core R (``stopping_core``) constrains s. Column
+    mu_ij is -1 in row i and +1 in the rows of the other variables at check
+    j. When check j freed variable i during peeling, those variables were
+    all freed before i; so setting the freeing mu in reverse peel order, each
+    large enough for its own row, meets every peeled row whatever s is, and
+    touches no row in R. Every other column at a peeled variable has no
     negative entry in a row of R, so setting it to 0 loses nothing. What is
-    left is the witness LP of the subgraph induced by R, on llr_R, under the
-    same cap. With R empty that LP is s <= cap, and s* is the cap with no
-    solve; with R every variable it is the full LP, built as it always was.
+    left is the LP of the subgraph induced by R, on llr_R.
+
+    With R empty, s is unbounded (a degree-1 check makes tau = -mu unbounded
+    below) and s* is the cap max|llr|, 1 when every LLR is 0, with no solve;
+    only a positive cap gives that verdict the right sign. Otherwise every
+    check at a core variable has d >= 2 core neighbours, or peeling would
+    have freed that variable, and its weights sum to (d - 2) M_j >= 0; so
+    summing the rows bounds s by the mean of llr_R, and no cap row is
+    needed. With L = min llr_R and s = L + t the LP is: maximize t subject
+    to sum_{j in N(i)} (M_j - 2 mu_ij) + t <= llr_i - L for i in R, with
+    mu, t >= 0. Its right-hand side is >= 0, so the simplex starts at the
+    feasible origin with no phase 1, and s* = L + t*. By duality s* is the
+    minimum of llr_R . omega over the fundamental cone of the core
+    (omega >= 0, omega_i <= sum_{N(j) - i} omega at every check j)
+    normalized to sum omega = 1: the least LLR cost of a normalized
+    pseudo-codeword (Koetter & Vontobel).
     """
     lamp = _llr_vector(g, lamp)
-    cap = np.abs(lamp).max()
-    if cap == 0:
-        cap = 1.0
     core = stopping_core(g)
     if not core.any():
-        return float(cap)
+        return float(np.abs(lamp).max() or 1.0)
     # core edges, aligned with (g.edge_var, g.var_indices): variable-major,
-    # checks ascending. A check at a core variable has at least two core
-    # neighbours, or peeling would have freed that variable.
+    # checks ascending
     edge_var, edge_check = g.edge_var, g.var_indices
     keep = core[edge_var]
     edge_row, edge_check = (np.cumsum(core) - 1)[edge_var[keep]], edge_check[keep]
@@ -447,17 +448,15 @@ def witness_search(g, lamp):
     h[edge_check, edge_row] = 1.0
     # Column (i', j) carries mu_i'j: +1 in the row of every core variable at
     # check j (its share of M_j), and 1 - 2 = -1 in its own variable's row.
-    a = np.zeros((rows + 1, ne + 2))
-    a[:rows, :ne] = h[edge_check].T
+    # The last column carries t.
+    a = np.ones((rows, ne + 1))
+    a[:, :ne] = h[edge_check].T
     a[edge_row, np.arange(ne)] = -1.0
-    a[:, ne] = 1.0
-    a[:, ne + 1] = -1.0
-    b = np.append(lamp[core], cap)
-    c = np.zeros(ne + 2)
+    llr = lamp[core]
+    low = llr.min()
+    c = np.zeros(ne + 1)
     c[ne] = 1.0
-    c[ne + 1] = -1.0
-    sol = simplex.solve(c, a, b, sense="max")
-    return float(sol.value)
+    return float(low + simplex.solve(c, a, llr - low, sense="max").value)
 
 
 @dataclass(frozen=True)

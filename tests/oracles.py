@@ -290,11 +290,13 @@ def dense_solve(c, a, b, sense="min", max_iter=None):
 
 def witness_lp_by_loops(g, lamp):
     """(c, A, b) of the witness LP over all of ``g``, one constraint entry at
-    a time; ``witness_search`` solves it on the stopping-set core.
+    a time: the reference form, whose optimum is s*.
 
     Columns: mu per edge in ``g.edges()`` order, then s+ and s-. Rows: one
     per variable, sum_{j in N(i)} (M_j - 2 mu_ij) + s <= llr_i, then the
-    cap s <= max|llr| (1 when every LLR is 0).
+    cap s <= max|llr| (1 when every LLR is 0). ``witness_search`` solves
+    the same LP on the stopping-set core, with s shifted by the least core
+    LLR, no cap row and one column for the shifted s.
     """
     edges = g.edges()
     ne = len(edges)

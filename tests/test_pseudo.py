@@ -222,6 +222,11 @@ def test_pcw_validates_range():
         PseudoCodeword(np.array([1.2, 0.0]))
     with pytest.raises(ValueError):
         PseudoCodeword(np.array([np.nan]))
+    for bad in ([np.inf], [-np.inf], [0.5, np.nan], [0.0, -1e-8]):
+        with pytest.raises(ValueError, match="^pseudo-codeword entries must be finite and lie"):
+            PseudoCodeword(np.array(bad))
+    assert PseudoCodeword(np.array([])).omega.size == 0
+    assert PseudoCodeword([0.0, 1.0 + 1e-10]).omega.dtype == float
 
 
 def test_bound_values():

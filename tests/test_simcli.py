@@ -393,6 +393,56 @@ def test_run_witness_rate_trial_major_writes_the_cell_major_csv(csv_dir, graph, 
     assert _same_csv_bytes(csv_dir, run_witness_rate, run_witness_rate_cell_major, cfg)
 
 
+@pytest.mark.parametrize("proof, message", [
+    ({"verify_smax": 12}, "alpha_exp must lie in (0, 1), got 1.0"),  # n = 12
+    ({"verify_smax": 13}, "alpha_exp must lie in (0, 1)"),
+    ({"verify_smax": 2, "kappa": 1.0}, "kappa must lie strictly inside"),
+    ({"verify_smax": 2, "kappa": 0.0}, "kappa must lie strictly inside"),
+    ({"kappa": 1.0}, "kappa must lie strictly inside"),
+    ({"verify_smax": 2}, None),
+])
+def test_run_witness_rate_checks_its_inputs_before_it_enumerates_subsets(csv_dir, monkeypatch,
+                                                                         proof, message):
+    derived = []
+    real_derive = simcli.derive_params
+
+    def derive(*args, **kwargs):
+        derived.append(kwargs.get("alpha_exp"))
+        return real_derive(*args, **kwargs)
+
+    monkeypatch.setattr(simcli, "derive_params", derive)
+    if message is not None:
+        def enumerate_subsets(*args):
+            raise AssertionError("check_expansion ran before the inputs were checked")
+
+        monkeypatch.setattr(simcli, "check_expansion", enumerate_subsets)
+    cfg = ExperimentConfig.from_json({
+        "mode": "witness-rate", "graph": {"path": str(csv_dir / "verified.alist")},
+        "maps": ["threshold:1.0"], "sigma2": [0.25], "trials": 1, "seed": 1,
+        "proof": {"w": 1.0, **proof},
+    })
+    if message is None:
+        assert run_witness_rate(cfg)[0].expansion == "verified"
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_witness_rate(cfg)
+    # one derivation, with alpha = smax / n when expansion is verified
+    smax = proof.get("verify_smax")
+    assert derived == [None if smax is None else smax / 12]
+
+
+@pytest.mark.parametrize("smax", [0, -1])
+def test_proof_spec_rejects_verify_smax_below_one(smax):
+    message = f"^proof: 'verify_smax' must be >= 1, got {smax}$"
+    with pytest.raises(ValueError, match=message):
+        ProofSpec(verify_smax=smax)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json({
+            "mode": "witness-rate", "graph": {"n": 12, "dv": 3, "dc": 4, "seed": 11},
+            "maps": ["threshold:1.0"], "sigma2": [0.5], "proof": {"verify_smax": smax},
+        })
+
+
 def test_trial_major_csvs_cover_every_outcome(csv_dir):
     # the configs above at a fixed seed and 12 trials reach every tally
     wer = run_wer(wer_config(graph={"n": 24, "dv": 3, "dc": 4, "seed": 3},

@@ -327,13 +327,13 @@ def test_face_probe_stays_within_sharpness_bound(kind, m, n, seed, negative_rhs,
 @pytest.mark.parametrize("trial", [0, 1, 2])
 def test_pivot_path_pinned_on_witness_lp(monkeypatch, trial):
     # d_v = 25 with m = 60 checks: no check has degree 1, so the stopping-set
-    # core is every variable and the LP keeps n + 1 rows and |E| + 2 columns
+    # core is every variable and the LP keeps n rows and |E| + 1 columns
     g = var_regular_graph(18, 25, 60, seed=3)
     lamp = awgn_llr(g, 0.5, seed=7, trial=trial, map_spec=MapSpec.parse("threshold:1.0"))
     calls = recorded_solves(monkeypatch, lambda: witness_search(g, lamp))
     assert len(calls) == 1
     (args, got), = calls
-    assert args[1].shape == (19, 452)
+    assert args[1].shape == (18, 451)
     _assert_same_path(got, dense_solve(*args))
 
 

@@ -574,15 +574,24 @@ def test_witness_lp_matches_loop_assembly(monkeypatch, g):
     if not core:
         assert calls == []
         return
-    ((c, a, b, _), _), = calls
-    # the LP of the subgraph the core induces, under the cap of the whole vector
+    ((c, a, b, _), sol), = calls
+    # The reference form of the subgraph the core induces, under the cap of
+    # the whole vector: a cap row, then s+ and s- as the last two columns.
     rank = {i: r for r, i in enumerate(core)}
     sub = TannerGraph(len(core), [[rank[i] for i in nbrs if i in rank] for nbrs in g.check_nbrs])
     want_c, want_a, want_b = witness_lp_by_loops(sub, lamp[core])
     want_b[-1] = np.abs(lamp).max()
-    assert c.tobytes() == want_c.tobytes()
-    assert a.shape == want_a.shape and a.tobytes() == want_a.tobytes()
-    assert b.tobytes() == want_b.tobytes()
+    # The solved LP drops the cap row and s-, and shifts b by L = min llr_R:
+    # |R| rows, |E_R| + 1 columns, and b >= 0 with min 0, so no phase 1.
+    rows, cols = len(core), want_a.shape[1] - 1
+    low = lamp[core].min()
+    assert a.shape == (rows, cols) and a.tobytes() == want_a[:rows, :cols].tobytes()
+    assert c.tobytes() == want_c[:cols].tobytes()
+    assert b.tobytes() == (want_b[:rows] - low).tobytes()
+    assert b.min() == 0.0
+    want = simplex.solve(want_c, want_a, want_b, sense="max").value
+    assert abs(low + sol.value - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
+    assert witness_search(g, lamp) == low + sol.value
 
 
 @pytest.mark.parametrize("lamp", [
@@ -618,16 +627,17 @@ def test_witness_search_matches_pairwise_lp(data):
     want = simplex.solve(*pairwise_witness_lp_by_loops(g, lamp), sense="max").value
     assert abs(s_star - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
 
-    # One row per core variable plus the cap, one column per core edge plus
-    # s+ and s-, and no solve for an empty core. tau_ij = M_j - 2 mu_ij from
-    # the core vertex, lifted down the peel order, is a witness with margin
-    # s*, by the independent constructive checker.
+    # One row per core variable, one column per core edge plus t, a
+    # right-hand side >= 0, and no solve for an empty core. tau_ij =
+    # M_j - 2 mu_ij from the core vertex, lifted down the peel order, is a
+    # witness with margin s*, by the independent constructive checker.
     core, order = stopping_core_by_queue(g)
     core_edges = [(i, j) for i, j in g.edges() if i in core]
     x = np.zeros(len(core_edges))
     if core:
-        ((_, a, _, _), sol), = calls
-        assert a.shape == (len(core) + 1, len(core_edges) + 2)
+        ((_, a, b, _), sol), = calls
+        assert a.shape == (len(core), len(core_edges) + 1)
+        assert b.min() == 0.0
         x = sol.x
     else:
         assert calls == []
@@ -635,6 +645,29 @@ def test_witness_search_matches_pairwise_lp(data):
     verdict = check_feasible(g, tau, lamp)
     assert verdict.pairwise_ok
     assert verdict.margin >= s_star - 1e-9
+
+
+@pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
+def test_witness_search_matches_highs_at_high_noise(sigma2):
+    # A full core of 60 variables with many negative LLRs, which would be
+    # negative right-hand sides without the shift by L. The solved LP starts
+    # at a feasible origin, and its s* is HiGHS's optimum of the reference
+    # form (cap row, split s) over the whole graph.
+    from scipy.optimize import linprog
+
+    g = var_regular_graph(60, 25, 50, seed=3)
+    assert stopping_core(g).all()
+    for trial in range(3):
+        lamp = awgn_llr(g, math.sqrt(sigma2), seed=1, trial=trial, map_spec=THRESHOLD1)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = recorded_solves(mp, lambda: witness_search(g, lamp))
+        ((_, a, b, _), _), = calls
+        assert a.shape == (g.n, g.num_edges + 1) and b.min() == 0.0
+        s_star = witness_search(g, lamp)
+        c, a, b = witness_lp_by_loops(g, lamp)
+        res = linprog(-c, A_ub=a, b_ub=b, method="highs-ds")
+        assert res.status == 0, res.message
+        assert abs(s_star + res.fun) <= 1e-9 * max(1.0, np.abs(lamp).max())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
