@@ -232,8 +232,10 @@ def lp_decode(g, lamp):
     not move beyond the integrality tolerance in exact arithmetic, so it is
     skipped and the optimum is unique.
 
-    Probed: otherwise a second solve over the optimal face maximizes
-    distance from the found vertex; if it moves beyond the integrality
+    Probed: otherwise the main solve continues over the optimal face
+    {cn.x <= cn.x1 + TIE_FACE_EPS} (``simplex.minimize_on_face``: one row
+    added to the final tableau, no second cold solve) and maximizes distance
+    from the found vertex, starting there; if it moves beyond the integrality
     tolerance, a second optimum exists (its value within TIE_FACE_EPS of the
     first) and the instance is classified as a tie. The face carries only a
     1e-12 buffer: genuine ties sit within float error of the optimum, while
@@ -260,9 +262,7 @@ def lp_decode(g, lamp):
 
     if TIE_FACE_EPS > INTEGRALITY_TOL * sol.sharpness:
         away = np.where(x1 >= 0.5, 1.0, -1.0)
-        a2 = np.vstack([cons.a, cn])
-        b2 = np.append(cons.b, cn @ x1 + TIE_FACE_EPS)
-        sol2 = simplex.solve(away, a2, b2, sense="min")
+        sol2 = simplex.minimize_on_face(sol, away, TIE_FACE_EPS)
         stats.update(uniqueness="probed", probe_pivots=sol2.iterations)
         if np.abs(sol2.x - x1).max() > INTEGRALITY_TOL:
             return DecodeOutcome(status="tie", vertex=x1, objective=objective, stats=stats)

@@ -396,6 +396,8 @@ def run_witness_rate(config):
     d_v = int(vd[0])
     proof = config.proof or ProofSpec()
     spec = config.maps[0]
+    if proof.verify_smax is not None and proof.verify_smax >= g.n:
+        raise ValueError(f"proof: 'verify_smax' must be below n = {g.n}, got {proof.verify_smax}")
     alpha_exp = None if proof.verify_smax is None else proof.verify_smax / g.n
     params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
     kappa = proof.kappa if proof.kappa is not None else params.kappa_mid

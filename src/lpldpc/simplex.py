@@ -1,24 +1,23 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Dense primal simplex with Bland's anti-cycling rule.
 
-Solves min/max c.x subject to A x <= b, x >= 0. Rows with negative
-right-hand side get phase-1 artificials; the returned point is always a
-basic feasible solution, i.e. a vertex of the feasible region. Pivoting is
-fully deterministic.
+Solves min/max c.x subject to A x <= b, x >= 0 with b >= 0, so the slack
+basis at the origin is feasible and there is no phase 1; the returned
+point is always a basic feasible solution, i.e. a vertex of the feasible
+region. Pivoting is fully deterministic.
 
 The tableau is condensed: it keeps one column per nonbasic variable (plus
 the right-hand side) and none for the basic ones, whose columns are unit
-vectors. Variables carry labels (structurals 0..n-1, slacks n..n+m-1,
-artificials after them); ``basis`` holds the label basic in each row and
-``nonbasic`` the label of each column. A pivot is one dense Jordan
-exchange: the entering and leaving labels swap places, and every stored
-entry gets exactly the arithmetic of the full-tableau rank-one update.
-Bland's rule picks the lowest entering and leaving labels, so the pivot
-sequence, bases and solutions are those of the full tableau (a zero may
-differ in sign).
+vectors. Variables carry labels (structurals 0..n-1, slacks n..n+m-1);
+``basis`` holds the label basic in each row and ``nonbasic`` the label of
+each column. A pivot is one dense Jordan exchange: the entering and
+leaving labels swap places, and every stored entry gets exactly the
+arithmetic of the full-tableau rank-one update. Bland's rule picks the
+lowest entering and leaving labels, so the pivot sequence, bases and
+solutions are those of the full tableau (a zero may differ in sign).
 
 Each solution carries a sharpness bound read from the final tableau:
 sharpness = r_min / max(1, max|T_N|), where r_min is the smallest reduced
-cost in the phase-2 objective row and T_N the final constraint rows, both
+cost in the final objective row and T_N the final constraint rows, both
 over the nonbasic columns, which are all the columns stored (0 when
 r_min <= 0). Along the nonbasic coordinates the objective rises by at least
 r_min * sum(x_N), and each basic coordinate moves by at most
@@ -27,12 +26,14 @@ c.x <= c.x* + eps lies within eps / sharpness of x* in every coordinate;
 sharpness > 0 certifies that the optimum is unique (Mangasarian,
 "Uniqueness of solution in linear programming", Linear Algebra Appl. 25,
 1979).
+
+``minimize_on_face`` continues a solved tableau over the optimal face.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +44,11 @@ __all__ = [
     "SimplexError",
     "IterationLimitError",
     "UnboundedError",
-    "InfeasibleError",
     "solve",
+    "minimize_on_face",
 ]
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-8
 MAX_ITER = 1_000_000
 
 
@@ -64,10 +64,6 @@ class UnboundedError(SimplexError):
     """The objective improves without bound along a feasible ray."""
 
 
-class InfeasibleError(SimplexError):
-    """Phase 1 could not drive the artificial variables to zero."""
-
-
 @dataclass
 class LpSolution:
     x: np.ndarray
@@ -75,6 +71,9 @@ class LpSolution:
     basis: np.ndarray
     iterations: int
     sharpness: float
+    # The final condensed tableau (tab, basis, nonbasic), continued by
+    # ``minimize_on_face``.
+    tableau: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _exchange(tab, basis, nonbasic, row, s):
@@ -99,10 +98,10 @@ def _set_objective(tab, basis, nonbasic, cost):
         tab[-1] -= cb[r] * tab[r]
 
 
-def _pivot_loop(tab, basis, nonbasic, max_iter, used):
-    """Run Bland pivots to optimality; returns total iteration count."""
+def _pivot_loop(tab, basis, nonbasic, max_iter):
+    """Run Bland pivots to optimality; returns the pivot count."""
     rows = tab.shape[0] - 1
-    it = used
+    it = 0
     while True:
         candidates = np.flatnonzero(tab[-1, :-1] < -PIVOT_TOL)
         if candidates.size == 0:
@@ -126,75 +125,45 @@ def _pivot_loop(tab, basis, nonbasic, max_iter, used):
             )
 
 
-def _solve_min(c, a, b, max_iter):
-    m, n = a.shape
-    flip = b < 0
-    art_rows = np.flatnonzero(flip)
-    nart = art_rows.size
-
-    # Labels: structurals 0..n-1, slacks n..n+m-1, artificials from n+m.
-    # Nonbasic at the start: every structural and the slack of each flipped
-    # row; the other slacks and the artificials form the basis.
-    nonbasic = np.concatenate([np.arange(n), n + art_rows])
-    tab = np.zeros((m + 1, nonbasic.size + 1))
-    tab[:m, :n] = a
-    tab[art_rows, :n] = -a[art_rows]
-    tab[art_rows, n + np.arange(nart)] = -1.0
-    tab[:m, -1] = np.where(flip, -b, b)
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(nart)
-
-    iters = 0
-    if nart:
-        cost1 = np.zeros(n + m + nart)
-        cost1[n + m:] = 1.0
-        _set_objective(tab, basis, nonbasic, cost1)
-        iters = _pivot_loop(tab, basis, nonbasic, max_iter, iters)
-        if -tab[-1, -1] > FEAS_TOL:
-            raise InfeasibleError(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
-        # Drive leftover artificials out of the basis; drop rows that turn
-        # out to be redundant (all structural coefficients eliminated).
-        keep = np.ones(m + 1, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n + m:
-                ok = np.flatnonzero((nonbasic < n + m) & (np.abs(tab[r, :-1]) > PIVOT_TOL))
-                if ok.size:
-                    _exchange(tab, basis, nonbasic, r, int(ok[np.argmin(nonbasic[ok])]))
-                    iters += 1
-                else:
-                    keep[r] = False
-        real = np.append(nonbasic < n + m, True)  # drop the nonbasic artificials
-        tab = tab[np.ix_(keep, real)]
-        basis, nonbasic = basis[keep[:m]], nonbasic[real[:-1]]
-
-    cost2 = np.zeros(n + m)
-    cost2[:n] = c
-    _set_objective(tab, basis, nonbasic, cost2)
-    iters = _pivot_loop(tab, basis, nonbasic, max_iter, iters)
-
-    full = np.zeros(n + m)
-    full[basis] = tab[:-1, -1]
-    x = full[:n].copy()
+def _optimize(tab, basis, nonbasic, cost, max_iter):
+    """Price ``cost``, on structural labels 0..len(cost)-1, into the last
+    row of a feasible tableau and pivot it to an optimum."""
+    full = np.zeros(nonbasic.size + basis.size)
+    full[:cost.size] = cost
+    _set_objective(tab, basis, nonbasic, full)
+    iters = _pivot_loop(tab, basis, nonbasic, max_iter)
+    values = np.zeros(full.size)
+    values[basis] = tab[:-1, -1]
+    x = values[:cost.size].copy()
     # Sharpness (module docstring); inf when no column is nonbasic.
     r_min = tab[-1, :-1].min(initial=np.inf)
     sharpness = r_min / max(1.0, np.abs(tab[:-1, :-1]).max(initial=0.0)) if r_min > 0 else 0.0
-    return LpSolution(x=x, value=float(c @ x), basis=basis.copy(), iterations=iters,
-                      sharpness=float(sharpness))
+    return LpSolution(x=x, value=float(cost @ x), basis=basis.copy(), iterations=iters,
+                      sharpness=float(sharpness), tableau=(tab, basis, nonbasic))
+
+
+def _solve_min(c, a, b, max_iter):
+    m, n = a.shape
+    # Structurals 0..n-1 start nonbasic at 0, slacks n..n+m-1 basic at b.
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = a
+    tab[:m, -1] = b
+    return _optimize(tab, n + np.arange(m), np.arange(n), c, max_iter)
 
 
 def solve(c, a, b, sense="min", max_iter=MAX_ITER):
-    """Optimize c.x over {A x <= b, x >= 0}.
+    """Optimize c.x over {A x <= b, x >= 0}, for b >= 0.
 
+    The slack basis at the origin is feasible, so Bland pivots start there.
     Returns an LpSolution whose ``x`` is an optimal basic feasible solution
     and whose ``sharpness`` bounds the optimal face (see the module
     docstring): every feasible x within eps of the optimal value lies within
     eps / sharpness of ``x`` in every coordinate. ``basis`` lists the
-    variable basic in each row (structurals 0..n-1, slacks from n; rows that
-    phase 1 found redundant are dropped) and ``iterations`` counts pivots.
-    The work is one condensed tableau: (m+1) x (n+1) entries in phase 2,
-    one more column per flipped row in phase 1.
-    Raises UnboundedError / InfeasibleError / IterationLimitError rather than
-    ever returning a suboptimal point.
+    variable basic in each row (structurals 0..n-1, slacks from n) and
+    ``iterations`` counts pivots. The work is one condensed tableau of
+    (m+1) x (n+1) entries, kept on the solution for ``minimize_on_face``.
+    Raises ValueError on a negative right-hand side, and UnboundedError /
+    IterationLimitError rather than ever returning a suboptimal point.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -206,9 +175,33 @@ def solve(c, a, b, sense="min", max_iter=MAX_ITER):
         raise ValueError(f"shape mismatch: A is {a.shape}, b is {b.shape}, c is {c.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("LP data must be finite")
+    if (b < 0).any():
+        raise ValueError(f"right-hand side must be >= 0, got {b.min():.6g}")
     if sense == "min":
         return _solve_min(c, a, b, max_iter)
     if sense == "max":
         sol = _solve_min(-c, a, b, max_iter)
         return dataclasses.replace(sol, value=float(c @ sol.x))
     raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+
+
+def minimize_on_face(sol, cost, eps):
+    """Minimize cost.x over the optimal face of ``sol``'s LP, from ``sol.x``.
+
+    The face adds c.x <= c.x* + eps, c the cost ``sol`` minimized (-c for
+    sense="max"). ``sol``'s final objective row reads c.x = c.x* + r_N.x_N,
+    so that is the row r_N.x_N <= eps, whose slack (label n + m) is basic at
+    eps >= 0: ``sol``'s basis stays feasible and Bland pivots run from it,
+    with no phase 1. Returns an LpSolution as ``solve`` does; ``iterations``
+    counts the face pivots. ``sol``'s tableau is left as it was.
+    """
+    tab0, basis, nonbasic = sol.tableau
+    m, n = basis.size, nonbasic.size
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape != (n,) or not np.isfinite(cost).all():
+        raise ValueError(f"expected a finite length-{n} cost, got shape {cost.shape}")
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    tab = np.vstack([tab0, tab0[-1:]])  # the objective row becomes the face row
+    tab[m, -1] = eps
+    return _optimize(tab, np.append(basis, n + m), nonbasic.copy(), cost, MAX_ITER)

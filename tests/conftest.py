@@ -32,21 +32,33 @@ def awgn_llr(g, sigma, seed, trial, map_spec=None):
     return apply_map(map_spec, lam) if map_spec is not None else lam
 
 
-def recorded_solves(monkeypatch, run):
-    """Run ``run()`` and return ((c, a, b, sense), solution) per simplex solve."""
+def recorded_solves(monkeypatch, run, faces=None):
+    """Run ``run()`` and return ((c, a, b, sense), solution) per simplex solve.
+
+    When ``faces`` is a list, each ``simplex.minimize_on_face`` call also
+    appends ((sol, cost, eps), solution) to it.
+    """
     from lpldpc import simplex
 
     calls = []
-    real = simplex.solve
+    real, real_face = simplex.solve, simplex.minimize_on_face
 
     def record(c, a, b, sense="min", **kwargs):
         sol = real(c, a, b, sense=sense, **kwargs)
         calls.append(((c, a, b, sense), sol))
         return sol
 
+    def record_face(sol, cost, eps):
+        out = real_face(sol, cost, eps)
+        faces.append(((sol, cost, eps), out))
+        return out
+
     monkeypatch.setattr(simplex, "solve", record)
+    if faces is not None:
+        monkeypatch.setattr(simplex, "minimize_on_face", record_face)
     run()
     monkeypatch.setattr(simplex, "solve", real)
+    monkeypatch.setattr(simplex, "minimize_on_face", real_face)
     return calls
 
 

@@ -11,7 +11,10 @@ from the cone generators. The stopping-set core comes from a queue peel, one
 check at a time, rather than from frontier rounds over the edge arrays, and
 the witness of a peeled graph from back-substitution down that peel order. The dense solver below keeps the full tableau,
 basic columns included, and pivots by a full rank-one update; the
-condensed tableau's exchanges must follow its pivot path exactly. The
+condensed tableau's exchanges must follow its pivot path exactly, on a
+cold solve and on a continuation over the optimal face. It keeps the
+phase 1 that the library's simplex no longer has, so it also solves the
+LPs here whose right-hand side is negative. The
 witness LP is also built entry by entry to pin its vectorized assembly.
 The per-check scaling loop is the one the vectorized scaling replaced, kept
 as its reference, and so are the Tanner graph layer's per-edge constructor,
@@ -20,7 +23,9 @@ its per-token alist parser, its queue BFS and its rejection sampler with
 connectivity BFS per sampled graph, which the scan's retry loop, reading
 connectivity from the first completion, must match row for row. The
 always-probe decoder is ``lp_decode`` before it read uniqueness from the
-final tableau; the certified decoder must return the same outcome. The
+final tableau, with its probe solved cold by the dense solver; the certified
+decoder, whose probe continues the main solve, must return the same
+outcome. The
 delta-matching verdict comes from Edmonds-Karp max flow on an explicit
 network with source and sink, rather than from augmenting paths on the
 Tanner graph, and the witness check from weights keyed by (variable, check)
@@ -228,11 +233,16 @@ def _dense_pivot_loop(tab, basis, max_iter, tol, used):
             raise IterationLimitError(f"no optimum within {max_iter} pivots")
 
 
-def dense_solve(c, a, b, sense="min", max_iter=None):
-    """Two-phase Bland simplex on the full tableau: every basic column kept
-    as a unit vector, artificials removed by deleting their columns after
-    phase 1. Same rules, labels and outputs as ``lpldpc.simplex.solve``."""
-    from lpldpc.simplex import FEAS_TOL, MAX_ITER, PIVOT_TOL, InfeasibleError, LpSolution
+FEAS_TOL = 1e-8  # largest phase-1 optimum that dense_solve accepts as feasible
+
+
+class InfeasibleError(RuntimeError):
+    """``dense_solve``'s phase 1 could not drive the artificials to zero."""
+
+
+def _dense_optimum(c, a, b, sense, max_iter):
+    """(full tableau, basis, pivots) at ``dense_solve``'s optimum."""
+    from lpldpc.simplex import MAX_ITER, PIVOT_TOL
 
     max_iter = MAX_ITER if max_iter is None else max_iter
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
@@ -275,17 +285,61 @@ def dense_solve(c, a, b, sense="min", max_iter=None):
     cost2 = np.zeros(n + m)
     cost2[:n] = sign * c
     dense_set_objective(tab, basis, cost2)
-    iters = _dense_pivot_loop(tab, basis, max_iter, PIVOT_TOL, iters)
+    return tab, basis, _dense_pivot_loop(tab, basis, max_iter, PIVOT_TOL, iters)
 
-    full = np.zeros(n + m)
+
+def _dense_solution(c, tab, basis, iters):
+    """LpSolution of an optimal full tableau; structurals are 0..len(c)-1."""
+    from lpldpc.simplex import LpSolution
+
+    full = np.zeros(tab.shape[1] - 1)
     full[basis] = tab[:-1, -1]
-    x = full[:n].copy()
-    nonbasic = np.ones(n + m, dtype=bool)
+    x = full[:c.size].copy()
+    nonbasic = np.ones(full.size, dtype=bool)
     nonbasic[basis] = False
     r_min = tab[-1, :-1][nonbasic].min(initial=np.inf)
     scale = max(1.0, np.abs(tab[:-1, :-1][:, nonbasic]).max(initial=0.0))
     return LpSolution(x=x, value=float(c @ x), basis=basis.copy(), iterations=iters,
                       sharpness=float(r_min / scale) if r_min > 0 else 0.0)
+
+
+def dense_solve(c, a, b, sense="min", max_iter=None):
+    """Two-phase Bland simplex on the full tableau: every basic column kept
+    as a unit vector, artificials removed by deleting their columns after
+    phase 1. Same rules, labels and outputs as ``lpldpc.simplex.solve``,
+    which takes b >= 0 only; here a negative right-hand side gets a phase-1
+    artificial, so this solver also serves LPs that start infeasible."""
+    c = np.asarray(c, dtype=float)
+    return _dense_solution(c, *_dense_optimum(c, a, b, sense, max_iter))
+
+
+def dense_minimize_on_face(lp, cost, eps):
+    """Full-tableau reference of
+    ``simplex.minimize_on_face(simplex.solve(*lp), cost, eps)``.
+
+    ``dense_solve``'s final tableau for ``lp = (c, a, b, sense)`` gains the
+    face row, its objective row with the basic columns zeroed and right-hand
+    side eps, and that row's slack column; Bland pivots on ``cost`` run from
+    that basis. ``iterations`` counts the face pivots only.
+    """
+    from lpldpc.simplex import MAX_ITER, PIVOT_TOL
+
+    c, a, b, sense = lp
+    tab, basis, _ = _dense_optimum(np.asarray(c, dtype=float), a, b, sense, None)
+    rows, labels = tab.shape[0] - 1, tab.shape[1] - 1
+    face = np.zeros((rows + 2, labels + 2))
+    face[:rows, :labels] = tab[:rows, :labels]
+    face[:rows, -1] = tab[:rows, -1]
+    face[rows, :labels] = tab[-1, :labels]
+    face[rows, basis] = 0.0
+    face[rows, labels] = 1.0
+    face[rows, -1] = eps
+    basis = np.append(basis, labels)
+    cost = np.asarray(cost, dtype=float)
+    full = np.zeros(labels + 1)
+    full[:cost.size] = cost
+    dense_set_objective(face, basis, full)
+    return _dense_solution(cost, face, basis, _dense_pivot_loop(face, basis, MAX_ITER, PIVOT_TOL, 0))
 
 
 def witness_lp_by_loops(g, lamp):
@@ -603,7 +657,9 @@ def pseudo_scan_by_connectivity_bfs(config):
 
 def lp_decode_always_probe(g, lamp):
     """``lp_decode`` as it was before the sharpness certificate: the face
-    probe runs on every decode. Returns a DecodeOutcome without stats."""
+    probe runs on every decode, as a cold two-phase solve of the main LP's
+    rows plus the face row, not a continuation of the main solve. Returns a
+    DecodeOutcome without stats."""
     from lpldpc import simplex
     from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS, DecodeOutcome, build_constraints
 
@@ -613,10 +669,12 @@ def lp_decode_always_probe(g, lamp):
     cn = lamp / scale if scale > 0 else lamp.copy()
     x1 = simplex.solve(cn, cons.a, cons.b, sense="min").x
     objective = float(lamp.sum() - 2.0 * (lamp @ x1))
+    # the probe solved cold, with the face as an explicit row whose
+    # right-hand side may be negative
     away = np.where(x1 >= 0.5, 1.0, -1.0)
     a2 = np.vstack([cons.a, cn])
     b2 = np.append(cons.b, cn @ x1 + TIE_FACE_EPS)
-    x2 = simplex.solve(away, a2, b2, sense="min").x
+    x2 = dense_solve(away, a2, b2, sense="min").x
     if np.abs(x2 - x1).max() > INTEGRALITY_TOL:
         return DecodeOutcome(status="tie", vertex=x1, objective=objective)
     rounded = np.rint(x1)

@@ -28,6 +28,7 @@ from lpldpc.lpdec import INTEGRALITY_TOL, TIE_FACE_EPS, _parity_ok
 from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
     best_vertex_value,
+    dense_solve,
     lp_decode_always_probe,
     membership_by_rows,
     vertices_by_bases,
@@ -216,11 +217,13 @@ def test_lp_decode_detects_tie(single_check):
 
 def test_exact_tie_has_zero_sharpness(monkeypatch, single_check):
     # 110 and 101 are both optimal: the main solve cannot certify uniqueness
-    outs = []
+    outs, faces = [], []
     calls = recorded_solves(monkeypatch, lambda: outs.append(
-        lp_decode(single_check, np.array([-2.0, 1.0, 1.0]))))
-    (_, main), (_, probe) = calls
+        lp_decode(single_check, np.array([-2.0, 1.0, 1.0]))), faces)
+    (_, main), = calls
+    ((start, _, eps), probe), = faces  # the probe continues the main solve
     assert main.sharpness == 0.0
+    assert start is main and eps == TIE_FACE_EPS
     assert outs[0].stats == {"uniqueness": "probed", "main_pivots": main.iterations,
                              "probe_pivots": probe.iterations}
 
@@ -283,12 +286,14 @@ def test_hard_decision_needs_every_llr_clear_of_zero(monkeypatch, single_check):
     # x0 cannot move without x1 or x2, so the probe keeps 000; paired with a
     # second 1e-9, the edge to 110 is nearly flat and the probe finds a tie.
     for lamp, status in (([1e-9, 1.0, 1.0], "integral"), ([1e-9, 1e-9, 1.0], "tie")):
-        outs = []
+        outs, faces = [], []
         calls = recorded_solves(monkeypatch, lambda: outs.append(
-            _assert_same_as_always_probe(single_check, np.array(lamp))))
+            _assert_same_as_always_probe(single_check, np.array(lamp))), faces)
         assert outs[0].status == status
         assert outs[0].stats["uniqueness"] == "probed"
-        assert len(calls) == 4  # main and probe, in lp_decode and in the oracle
+        # the main solve in lp_decode and in the oracle, whose cold probe
+        # runs through the dense reference; lp_decode's probe is a face call
+        assert len(calls) == 2 and len(faces) == 1
 
 
 def test_hard_decision_decodes_a_nonzero_codeword_without_solving(monkeypatch):
@@ -374,6 +379,33 @@ def test_runaway_probe_decodes_are_certified(monkeypatch, n, d_c, seed, sigma2, 
     assert main.iterations == pivots
     assert TIE_FACE_EPS <= INTEGRALITY_TOL * main.sharpness
     assert outs[0].stats == {"uniqueness": "certified", "main_pivots": pivots, "probe_pivots": 0}
+
+
+def test_runaway_probe_finishes_on_the_main_tableau(monkeypatch):
+    # wer-n24 seed 10 unit 536 position 22 (quantize2:1, sigma2 0.8, trial
+    # 2): the main optimum 0 has sharpness 0, and the probe solved cold
+    # from the stacked face LP runs away under Bland's rule (past 20,000
+    # pivots; 2,000 here). Continued from the main tableau it takes 33.
+    g = generate_regular(24, 3, 4, seed=3)
+    lamp = np.ones(24)
+    lamp[[13, 14, 17, 23]] = -1.0
+    outs, faces = [], []
+    calls = recorded_solves(monkeypatch, lambda: outs.append(lp_decode(g, lamp)), faces)
+    ((c, a, b, _), main), = calls
+    ((_, away, _), probe), = faces
+    assert main.sharpness == 0.0 and not main.x.any()
+    assert outs[0].status == "integral" and not outs[0].codeword.any()
+    assert outs[0].stats == {"uniqueness": "probed", "main_pivots": 36, "probe_pivots": 33}
+    face = (away, np.vstack([a, c]), np.append(b, c @ main.x + TIE_FACE_EPS))
+    with pytest.raises(simplex.IterationLimitError):
+        dense_solve(*face, max_iter=2000)
+    # HiGHS on the explicit face: min away.x is -|x - 0|_1 in the unit box,
+    # so no face point lies beyond the integrality tolerance of the optimum
+    from scipy.optimize import linprog
+
+    res = linprog(away, A_ub=face[1], b_ub=face[2], method="highs-ds")
+    assert res.status == 0 and -res.fun <= INTEGRALITY_TOL
+    assert abs(probe.value - res.fun) <= 1e-9
 
 
 @pytest.mark.parametrize("sigma2, seed, trial", [(0.25, 1, 16), (0.3, 2, 1)])

@@ -394,8 +394,8 @@ def test_run_witness_rate_trial_major_writes_the_cell_major_csv(csv_dir, graph, 
 
 
 @pytest.mark.parametrize("proof, message", [
-    ({"verify_smax": 12}, "alpha_exp must lie in (0, 1), got 1.0"),  # n = 12
-    ({"verify_smax": 13}, "alpha_exp must lie in (0, 1)"),
+    ({"verify_smax": 12}, "proof: 'verify_smax' must be below n = 12, got 12"),  # n = 12
+    ({"verify_smax": 13}, "proof: 'verify_smax' must be below n = 12, got 13"),
     ({"verify_smax": 2, "kappa": 1.0}, "kappa must lie strictly inside"),
     ({"verify_smax": 2, "kappa": 0.0}, "kappa must lie strictly inside"),
     ({"kappa": 1.0}, "kappa must lie strictly inside"),
@@ -426,9 +426,13 @@ def test_run_witness_rate_checks_its_inputs_before_it_enumerates_subsets(csv_dir
     else:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_witness_rate(cfg)
-    # one derivation, with alpha = smax / n when expansion is verified
+    # one derivation, with alpha = smax / n when expansion is verified, and
+    # none when verify_smax >= n is refused first
     smax = proof.get("verify_smax")
-    assert derived == [None if smax is None else smax / 12]
+    if smax is not None and smax >= 12:
+        assert derived == []
+    else:
+        assert derived == [None if smax is None else smax / 12]
 
 
 @pytest.mark.parametrize("smax", [0, -1])

@@ -11,10 +11,10 @@ from lpldpc import MapSpec, generate_regular, lp_decode, simplex, witness_search
 from lpldpc.lpdec import TIE_FACE_EPS, build_constraints
 from lpldpc.simplex import (
     MAX_ITER,
-    InfeasibleError,
     IterationLimitError,
     SimplexError,
     UnboundedError,
+    minimize_on_face,
     solve,
 )
 
@@ -22,6 +22,7 @@ from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
     best_vertex_value,
     dense_pivot,
+    dense_minimize_on_face,
     dense_set_objective,
     dense_solve,
     var_regular_graph,
@@ -47,24 +48,37 @@ def test_min_is_max_of_negated():
     assert lo.sharpness == hi.sharpness > 0
 
 
-def test_phase1_negative_rhs():
-    # x >= 1 written as -x <= -1; min x -> 1
-    sol = solve(np.array([1.0]), np.array([[-1.0]]), np.array([-1.0]), sense="min")
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
-    assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("a, b", [
+    ([[-1.0]], [-1.0]),  # x >= 1
+    ([[-1.0], [1.0]], [-1.0, 3.0]),  # 1 <= x <= 3
+    ([[1.0]], [-1.0]),  # x <= -1
+], ids=["lower-bound", "two-sided", "infeasible"])
+def test_negative_rhs_rejected(a, b):
+    # the solve starts at the origin, which b < 0 cuts off, feasible LP or not
+    for sense in ("min", "max"):
+        with pytest.raises(ValueError, match="^right-hand side must be >= 0, got -1$"):
+            solve(np.array([1.0]), np.array(a), np.array(b), sense=sense)
 
 
-def test_phase1_two_sided():
-    # 1 <= x <= 3, min -x -> x = 3
-    a = np.array([[-1.0], [1.0]])
-    b = np.array([-1.0, 3.0])
-    sol = solve(np.array([-1.0]), a, b, sense="min")
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
-
-
-def test_infeasible_detected():
-    with pytest.raises(InfeasibleError):
-        solve(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]), sense="min")
+def test_minimize_on_face_walks_the_optimal_face():
+    # min -x - y over x + y <= 1, x, y <= 1: the edge from (1, 0) to (0, 1)
+    a = np.vstack([[1.0, 1.0], np.eye(2)])
+    sol = solve(np.array([-1.0, -1.0]), a, np.array([1.0, 1.0, 1.0]))
+    assert sol.sharpness == 0.0 and sol.x.tolist() == [1.0, 0.0]
+    assert sol.basis.tolist() == [0, 3, 4]  # x in the row of x + y <= 1
+    kept = [v.copy() for v in sol.tableau]
+    other = minimize_on_face(sol, np.array([1.0, -1.0]), 0.0)
+    assert other.x.tolist() == [0.0, 1.0] and other.value == -1.0
+    assert other.iterations == 1 and other.basis.tolist() == [1, 3, 4, 5]
+    assert all(np.array_equal(v, w) for v, w in zip(sol.tableau, kept))
+    # staying put takes no pivot; the face row's slack is basic at eps
+    same = minimize_on_face(sol, np.array([-1.0, 1.0]), 0.25)
+    assert same.x.tolist() == [1.0, 0.0] and same.iterations == 0
+    assert same.basis.tolist() == [*sol.basis, 5]
+    for cost, eps in ((np.ones(3), 0.0), (np.array([np.nan, 1.0]), 0.0),
+                      (np.ones(2), -1e-12), (np.ones(2), np.nan)):
+        with pytest.raises(ValueError):
+            minimize_on_face(sol, cost, eps)
 
 
 def test_unbounded_detected():
@@ -172,12 +186,16 @@ def _outcome(c, a, b, sense, max_iter=MAX_ITER, solver=solve):
         return type(exc)
 
 
-def _probe_lp(args, sol):
-    """The tie probe over the optimal face of a decode LP, built as
-    ``lp_decode`` builds it."""
-    c, a, b, _ = args
-    away = np.where(sol.x >= 0.5, 1.0, -1.0)
-    return away, np.vstack([a, c]), np.append(b, c @ sol.x + TIE_FACE_EPS), "min"
+def _face_outcome(face, *args):
+    try:
+        return face(*args)
+    except SimplexError as exc:
+        return type(exc)
+
+
+def _away(sol):
+    """The tie probe's cost, as ``lp_decode`` builds it: away from ``sol.x``."""
+    return np.where(sol.x >= 0.5, 1.0, -1.0)
 
 
 def _decode_lp(g, lamp):
@@ -197,13 +215,14 @@ def _decode_lp(g, lamp):
 
 
 def _recorded_lps(g, lamp):
-    """(c, a, b, sense) of the decode LP and its tie probe, both built even
-    when ``lp_decode`` skips them, and of every solve ``witness_search``
-    makes on ``lamp``."""
+    """(c, a, b, sense) of the decode LP, built even when ``lp_decode``
+    skips it, then of every solve ``witness_search`` makes on ``lamp``. The
+    decode LP's tie probe continues its solve: ``_away`` on the optimum,
+    over the optimal face."""
     lp = _decode_lp(g, lamp)
     with pytest.MonkeyPatch.context() as mp:
         calls = recorded_solves(mp, lambda: witness_search(g, lamp))
-    return [lp, _probe_lp(lp, solve(*lp))] + [args for args, _ in calls]
+    return [lp] + [args for args, _ in calls]
 
 
 def _assert_same_path(got, want):
@@ -218,7 +237,7 @@ def _assert_same_path(got, want):
     assert got.sharpness == want.sharpness
 
 
-def _random_lp(kind, m, n, seed, negative_rhs, boxed):
+def _random_lp(kind, m, n, seed, boxed):
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
         a = rng.normal(size=(m, n))
@@ -232,8 +251,6 @@ def _random_lp(kind, m, n, seed, negative_rhs, boxed):
         a = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], size=(m, n))
         b = rng.choice([0.0, 0.0, 1.0], size=m)
         c = rng.choice([-1.0, 0.0, 1.0], size=n)
-    if negative_rhs:
-        b = np.where(rng.random(m) < 0.4, -b - rng.integers(0, 2, size=m), b)
     if boxed:
         a = np.vstack([a, np.eye(n)])
         b = np.concatenate([b, np.ones(n)])
@@ -246,17 +263,21 @@ def _random_lp(kind, m, n, seed, negative_rhs, boxed):
     m=st.integers(1, 8),
     n=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    negative_rhs=st.booleans(),
     boxed=st.booleans(),
     sense=st.sampled_from(["min", "max"]),
     max_iter=st.sampled_from([2, MAX_ITER]),
 )
-def test_pivot_matches_dense_reference_on_random_lps(
-        kind, m, n, seed, negative_rhs, boxed, sense, max_iter):
-    c, a, b = _random_lp(kind, m, n, seed, negative_rhs, boxed)
+def test_pivot_matches_dense_reference_on_random_lps(kind, m, n, seed, boxed, sense, max_iter):
+    c, a, b = _random_lp(kind, m, n, seed, boxed)
     got = _outcome(c, a, b, sense, max_iter)
     want = _outcome(c, a, b, sense, max_iter, solver=dense_solve)
     _assert_same_path(got, want)
+    if isinstance(got, type):
+        return
+    # continued over the optimal face, which may be unbounded
+    d = np.random.default_rng(seed).choice([-1.0, 1.0], size=n)
+    _assert_same_path(_face_outcome(minimize_on_face, got, d, 1e-3),
+                      _face_outcome(dense_minimize_on_face, (c, a, b, sense), d, 1e-3))
 
 
 def test_kernels_match_dense_reference_on_random_tableaus():
@@ -299,27 +320,25 @@ def test_kernels_match_dense_reference_on_random_tableaus():
     m=st.integers(1, 8),
     n=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    negative_rhs=st.booleans(),
     boxed=st.booleans(),
     eps=st.sampled_from([1e-12, 1e-3, 0.3]),
 )
-def test_face_probe_stays_within_sharpness_bound(kind, m, n, seed, negative_rhs, boxed, eps):
+def test_face_probe_stays_within_sharpness_bound(kind, m, n, seed, boxed, eps):
     # Every feasible point within eps of the optimal value lies within
     # eps / sharpness of the optimum in every coordinate, slacks included;
     # probe the face {c.x <= c.x* + eps} in several directions.
-    c, a, b = _random_lp(kind, m, n, seed, negative_rhs, boxed)
+    c, a, b = _random_lp(kind, m, n, seed, boxed)
     try:
         sol = solve(c, a, b)
-    except (InfeasibleError, UnboundedError):
+    except UnboundedError:
         return
     if sol.sharpness == 0.0:
         return
-    face_a, face_b = np.vstack([a, c]), np.append(b, c @ sol.x + eps)
     bound = eps / sol.sharpness
     rng = np.random.default_rng(seed)
-    away = np.where(sol.x >= 0.5, 1.0, -1.0)
+    away = _away(sol)
     for d in (away, -away, rng.choice([-1.0, 1.0], size=n), rng.normal(size=n)):
-        x = solve(d, face_a, face_b).x
+        x = minimize_on_face(sol, d, eps).x
         moved = max(np.abs(x - sol.x).max(), np.abs(a @ (x - sol.x)).max())
         assert moved <= bound + 1e-9 * (1.0 + np.abs(sol.x).max())
 
@@ -345,8 +364,9 @@ def test_pivot_path_pinned_on_decoder_lps(monkeypatch, trial):
     assert len(calls) == 1  # the main solve certifies a unique optimum
     (args, got), = calls
     _assert_same_path(got, dense_solve(*args))
-    probe = _probe_lp(args, got)
-    _assert_same_path(solve(*probe), dense_solve(*probe))
+    away = _away(got)
+    _assert_same_path(minimize_on_face(got, away, TIE_FACE_EPS),
+                      dense_minimize_on_face(args, away, TIE_FACE_EPS))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -358,9 +378,13 @@ def test_recorded_decode_and_witness_lps_match_dense_reference(data):
     spec = MapSpec.parse(data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lamp = spec.apply(rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n))
-    for c, a, b, sense in _recorded_lps(g, lamp):
+    lps = _recorded_lps(g, lamp)
+    for c, a, b, sense in lps:
         _assert_same_path(_outcome(c, a, b, sense),
                           _outcome(c, a, b, sense, solver=dense_solve))
+    sol = solve(*lps[0])
+    _assert_same_path(minimize_on_face(sol, _away(sol), TIE_FACE_EPS),
+                      dense_minimize_on_face(lps[0], _away(sol), TIE_FACE_EPS))
 
 
 def _highs_outcome(c, a, b, sense):
@@ -379,10 +403,23 @@ def _assert_matches_highs(c, a, b, sense):
     got = _outcome(c, a, b, sense)
     kind, value = _highs_outcome(c, a, b, sense)
     if isinstance(got, type):
-        assert (kind, got) in {("infeasible", InfeasibleError), ("unbounded", UnboundedError)}
+        assert (kind, got) == ("unbounded", UnboundedError)
         return
     assert kind == "optimal"
     assert abs(got.value - value) <= 1e-9 * max(1.0, abs(value))
+
+
+def _assert_probe_matches_highs(lp):
+    """The tie probe of decode LP ``lp``, continued as ``lp_decode`` runs
+    it, reaches the optimum that HiGHS finds on the explicit face LP: the
+    rows of ``lp`` plus c.x <= c.x* + TIE_FACE_EPS."""
+    c, a, b, _ = lp
+    sol = solve(*lp)
+    face = (_away(sol), np.vstack([a, c]), np.append(b, c @ sol.x + TIE_FACE_EPS), "min")
+    kind, value = _highs_outcome(*face)
+    assert kind == "optimal"
+    got = minimize_on_face(sol, face[0], TIE_FACE_EPS).value
+    assert abs(got - value) <= 1e-9 * max(1.0, abs(value))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -391,12 +428,11 @@ def _assert_matches_highs(c, a, b, sense):
     m=st.integers(1, 8),
     n=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    negative_rhs=st.booleans(),
     boxed=st.booleans(),
     sense=st.sampled_from(["min", "max"]),
 )
-def test_random_lps_match_highs(kind, m, n, seed, negative_rhs, boxed, sense):
-    _assert_matches_highs(*_random_lp(kind, m, n, seed, negative_rhs, boxed), sense)
+def test_random_lps_match_highs(kind, m, n, seed, boxed, sense):
+    _assert_matches_highs(*_random_lp(kind, m, n, seed, boxed), sense)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -406,8 +442,10 @@ def test_recorded_decode_and_witness_lps_match_highs(data):
     spec = MapSpec.parse(data.draw(st.sampled_from(["trivial", "threshold:1.0", "quantize2:1"])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lamp = spec.apply(rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n))
-    for lp in _recorded_lps(g, lamp):
+    lps = _recorded_lps(g, lamp)
+    for lp in lps:
         _assert_matches_highs(*lp)
+    _assert_probe_matches_highs(lps[0])
 
 
 @pytest.mark.parametrize("trial", [0, 1])
@@ -415,12 +453,16 @@ def test_benchmark_decode_and_witness_lps_match_highs(trial):
     # the decode LP of a (3,4) n=24 graph with its probe, and the decode LPs
     # of the witness-dv25 graph, whose witness needs no LP (its core is empty)
     g = generate_regular(24, 3, 4, seed=3)
-    for lp in _recorded_lps(g, awgn_llr(g, 0.9, seed=5, trial=trial)):
+    lps = _recorded_lps(g, awgn_llr(g, 0.9, seed=5, trial=trial))
+    for lp in lps:
         _assert_matches_highs(*lp)
+    _assert_probe_matches_highs(lps[0])
     g = var_regular_graph(18, 25, 200, seed=3)
     lamp = awgn_llr(g, 0.5, seed=7, trial=trial, map_spec=MapSpec.parse("threshold:1.0"))
-    for lp in _recorded_lps(g, lamp):
+    lps = _recorded_lps(g, lamp)
+    for lp in lps:
         _assert_matches_highs(*lp)
+    _assert_probe_matches_highs(lps[0])
 
 
 def test_import_decode_and_witness_load_no_scipy():

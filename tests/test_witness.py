@@ -28,13 +28,14 @@ from lpldpc import (
     weights_from_matching,
     witness_search,
 )
-from lpldpc import ChannelParams, normalized_llr, simplex, transmit_awgn
+from lpldpc import ChannelParams, normalized_llr, transmit_awgn
 from lpldpc.witness import DEAD_BAND, ParameterError, _verify_matching
 
 from conftest import awgn_llr, irregular_graphs, recorded_solves
 from oracles import (
     check_feasible_by_dicts,
     delta_matching_by_max_flow,
+    dense_solve,
     find_delta_matching_one_check_per_bfs,
     lift_core_witness,
     pairwise_witness_lp_by_loops,
@@ -589,7 +590,7 @@ def test_witness_lp_matches_loop_assembly(monkeypatch, g):
     assert c.tobytes() == want_c[:cols].tobytes()
     assert b.tobytes() == (want_b[:rows] - low).tobytes()
     assert b.min() == 0.0
-    want = simplex.solve(want_c, want_a, want_b, sense="max").value
+    want = dense_solve(want_c, want_a, want_b, sense="max").value  # b < 0: phase 1
     assert abs(low + sol.value - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
     assert witness_search(g, lamp) == low + sol.value
 
@@ -624,7 +625,7 @@ def test_witness_search_matches_pairwise_lp(data):
     with pytest.MonkeyPatch.context() as mp:
         calls = recorded_solves(mp, lambda: witness_search(g, lamp))
     s_star = witness_search(g, lamp)
-    want = simplex.solve(*pairwise_witness_lp_by_loops(g, lamp), sense="max").value
+    want = dense_solve(*pairwise_witness_lp_by_loops(g, lamp), sense="max").value  # b < 0
     assert abs(s_star - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
 
     # One row per core variable, one column per core edge plus t, a
