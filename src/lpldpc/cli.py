@@ -3,7 +3,7 @@
 Subcommands: ``gen`` (random regular graph to alist), ``decode`` (LP decode
 an LLR file), ``pseudo`` (tier completion at a root), ``witness`` (certificate
 search for an LLR file), ``expand`` (brute-force expansion check), and
-``sim wer|pseudo-scan|witness-rate`` (Monte Carlo experiments to CSV).
+``sim <mode>`` (Monte Carlo experiments to CSV, one subcommand per mode).
 """
 
 from __future__ import annotations
@@ -17,18 +17,10 @@ import numpy as np
 from .channel import MapSpec
 from .lpdec import lp_decode
 from .pseudo import awgnc_pseudoweight, canonical_completion, pseudoweight_bound
-from .simcli import ExperimentConfig, GraphSource, emit_csv, run_pseudo_scan, run_wer, \
-    run_witness_rate
-from .simcli import CellResult, ScanRow, WitnessRateRow
+from .simcli import MODES, ExperimentConfig, GraphSource, emit_csv
 from .tanner import GenerationError, emit_alist, generate_regular
 from .witness import ParameterError, boundary_set, check_expansion, derive_params, \
     find_delta_matching, high_noise_set, stopping_core, witness_search
-
-
-# ``sim`` subcommands: the driver of each mode and its CSV row type.
-_SIM_RUNNERS = {"wer": (run_wer, CellResult),
-               "pseudo-scan": (run_pseudo_scan, ScanRow),
-               "witness-rate": (run_witness_rate, WitnessRateRow)}
 
 
 def _load_graph(path):
@@ -135,9 +127,9 @@ def _cmd_sim(args):
     out = args.out or config.out
     if out is None:
         raise ValueError("no output path: give --out or an 'out' config entry")
-    run, row_type = _SIM_RUNNERS[args.sim_mode]
-    rows = run(config)
-    emit_csv(rows, out, row_type=row_type)
+    mode = MODES[args.sim_mode]
+    rows = mode.run(config)
+    emit_csv(rows, out, row_type=mode.row_type)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -181,7 +173,7 @@ def build_parser():
 
     p = sub.add_parser("sim", help="Monte Carlo experiments to CSV")
     simsub = p.add_subparsers(dest="sim_mode", required=True)
-    for mode in _SIM_RUNNERS:
+    for mode in MODES:
         sp = simsub.add_parser(mode)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="CSV path (overrides the config)")

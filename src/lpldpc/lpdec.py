@@ -49,13 +49,11 @@ MAX_DIMENSION = 24     # brute-force codeword enumeration cap
 @dataclass(frozen=True, eq=False)
 class PolytopeConstraints:
     """Rows a.x <= b: the n upper box rows first, then each check's odd-subset
-    rows (sizes ascending, subsets in lexicographic order). ``row_check[r]``
-    names the originating check, -1 for box rows."""
+    rows (sizes ascending, subsets in lexicographic order)."""
 
     n: int
     a: np.ndarray
     b: np.ndarray
-    row_check: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -73,7 +71,6 @@ def build_constraints(g):
     total = g.n + sum(1 << (d - 1) for d in degs.tolist() if d >= 1)
     a = np.zeros((total, g.n))
     b = np.zeros(total)
-    row_check = np.full(total, -1, dtype=np.int64)
     a[np.arange(g.n), np.arange(g.n)] = 1.0
     b[:g.n] = 1.0
     r = g.n
@@ -85,9 +82,8 @@ def build_constraints(g):
                 a[r, nbrs] = -1.0
                 a[r, list(subset)] = 1.0
                 b[r] = size - 1
-                row_check[r] = j
                 r += 1
-    return PolytopeConstraints(n=g.n, a=a, b=b, row_check=row_check)
+    return PolytopeConstraints(n=g.n, a=a, b=b)
 
 
 def _odd_subset_rows(g, w):

@@ -7,6 +7,7 @@ which cells or trials execute.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import json
@@ -35,6 +36,7 @@ from .witness import (
 )
 
 __all__ = [
+    "MODES",
     "GraphSource",
     "ScanSpec",
     "ProofSpec",
@@ -47,13 +49,6 @@ __all__ = [
     "run_witness_rate",
     "emit_csv",
 ]
-
-# The config fields each mode reads; a config leaves every other at its default.
-_MODE_READS = {
-    "wer": {"mode", "trials", "seed", "graph", "maps", "sigma2", "out", "random_codeword"},
-    "pseudo-scan": {"mode", "seed", "out", "scan"},
-    "witness-rate": {"mode", "trials", "seed", "graph", "maps", "sigma2", "out", "proof"},
-}
 
 # Graphs per size in a pseudo-weight scan: graph gi of size index ni draws its
 # roots from trial index ni * MAX_GRAPHS_PER_N + gi, unique below this cap.
@@ -143,11 +138,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_fields(self, "config")
-        if self.mode not in _MODE_READS:
-            raise ValueError(f"mode must be one of {tuple(_MODE_READS)}, got {self.mode!r}")
-        reads = _MODE_READS[self.mode]
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+        mode = MODES[self.mode]
         for f in dataclasses.fields(self):
-            if f.name not in reads and getattr(self, f.name) != f.default:
+            if f.name not in mode.reads and getattr(self, f.name) != f.default:
                 raise ValueError(f"config: {f.name!r} is not read by {self.mode} mode")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -155,15 +150,10 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         for s2 in self.sigma2:
             ChannelParams(s2)  # raises unless positive and finite
-        if self.mode == "wer":
-            if self.graph is None or not self.maps or not self.sigma2:
-                raise ValueError("wer mode needs a graph, at least one map, and a sigma2 grid")
-        elif self.mode == "pseudo-scan":
-            if self.scan is None:
-                raise ValueError("pseudo-scan mode needs a 'scan' section")
-        elif self.mode == "witness-rate":
-            if self.graph is None or not self.sigma2:
-                raise ValueError("witness-rate mode needs a graph and a sigma2 grid")
+        for name in mode.needs:
+            if not getattr(self, name):  # None, or an empty list
+                raise ValueError(f"config: {self.mode} mode needs {name!r}")
+        if self.mode == "witness-rate":
             proof = self.proof or ProofSpec()
             if len(self.maps) != 1 or self.maps[0].kind != "threshold":
                 raise ValueError("witness-rate mode needs exactly one threshold map")
@@ -399,9 +389,8 @@ def run_witness_rate(config):
     if proof.verify_smax is not None and proof.verify_smax >= g.n:
         raise ValueError(f"proof: 'verify_smax' must be below n = {g.n}, got {proof.verify_smax}")
     alpha_exp = None if proof.verify_smax is None else proof.verify_smax / g.n
-    params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
-    kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
-    params.require_kappa(kappa)  # before the subset enumeration and the first trial
+    # checks kappa before the subset enumeration and the first trial
+    params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp, kappa=proof.kappa)
     expansion = "assumed"
     if proof.verify_smax is not None:
         verdict = check_expansion(g, params.delta_dv, proof.verify_smax)
@@ -422,7 +411,7 @@ def run_witness_rate(config):
             owner = find_delta_matching(g, u, udot, params)
             built_ok = False
             if owner is not None:
-                tau = weights_from_matching(g, owner, u, kappa, params)
+                tau = weights_from_matching(g, owner, u, params)
                 built_ok = check_feasible(g, tau, lamp).ok
             s_star = witness_search(g, lamp)
             out = lp_decode(g, lamp)
@@ -437,7 +426,7 @@ def run_witness_rate(config):
                 tally["dead_band"] += 1
             if an is not None:
                 size_u = int(np.count_nonzero(u))  # Python ints keep the count a Python int
-                if size_u <= (an - 1.0) / (1.0 + params.gamma):
+                if size_u <= params.matching_cap(g.n):
                     tally["size_bound_violations"] += (
                         size_u + int(np.count_nonzero(udot)) > an + 1e-9)
     return [WitnessRateRow(sigma2=ch.sigma2, trials=config.trials, expansion=expansion, **tally)
@@ -462,3 +451,16 @@ def emit_csv(results, path, row_type=None):
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in (getattr(row, nm) for nm in names)])
+
+
+# Per ``sim`` mode: the top-level config fields it reads (a config leaves
+# every other at its default), those of them it needs set and non-empty, its
+# driver and its CSV row type.
+SimMode = collections.namedtuple("SimMode", "reads needs run row_type")
+MODES = {
+    "wer": SimMode({"mode", "trials", "seed", "graph", "maps", "sigma2", "out", "random_codeword"},
+                   ("graph", "maps", "sigma2"), run_wer, CellResult),
+    "pseudo-scan": SimMode({"mode", "seed", "out", "scan"}, ("scan",), run_pseudo_scan, ScanRow),
+    "witness-rate": SimMode({"mode", "trials", "seed", "graph", "maps", "sigma2", "out", "proof"},
+                            ("graph", "sigma2"), run_witness_rate, WitnessRateRow),
+}

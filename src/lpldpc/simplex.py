@@ -71,8 +71,8 @@ class LpSolution:
     basis: np.ndarray
     iterations: int
     sharpness: float
-    # The final condensed tableau (tab, basis, nonbasic), continued by
-    # ``minimize_on_face``.
+    # The final condensed tableau (tab, nonbasic), whose row labels are
+    # ``basis``, continued by ``minimize_on_face``.
     tableau: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -138,8 +138,8 @@ def _optimize(tab, basis, nonbasic, cost, max_iter):
     # Sharpness (module docstring); inf when no column is nonbasic.
     r_min = tab[-1, :-1].min(initial=np.inf)
     sharpness = r_min / max(1.0, np.abs(tab[:-1, :-1]).max(initial=0.0)) if r_min > 0 else 0.0
-    return LpSolution(x=x, value=float(cost @ x), basis=basis.copy(), iterations=iters,
-                      sharpness=float(sharpness), tableau=(tab, basis, nonbasic))
+    return LpSolution(x=x, value=float(cost @ x), basis=basis, iterations=iters,
+                      sharpness=float(sharpness), tableau=(tab, nonbasic))
 
 
 def _solve_min(c, a, b, max_iter):
@@ -195,7 +195,8 @@ def minimize_on_face(sol, cost, eps):
     with no phase 1. Returns an LpSolution as ``solve`` does; ``iterations``
     counts the face pivots. ``sol``'s tableau is left as it was.
     """
-    tab0, basis, nonbasic = sol.tableau
+    tab0, nonbasic = sol.tableau
+    basis = sol.basis
     m, n = basis.size, nonbasic.size
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (n,) or not np.isfinite(cost).all():

@@ -70,7 +70,9 @@ class ProofParams:
     delta is the matching density (delta * d_v integral), delta_prime the
     boundary density 2*delta - 1, gamma the high-noise budget factor, and
     (kappa_lo, kappa_hi) the open interval of usable edge-weight magnitudes.
-    alpha_exp is the expansion fraction, fixed by the caller when known.
+    kappa, the magnitude the construction uses, defaults to that interval's
+    midpoint and must lie strictly inside it. alpha_exp is the expansion
+    fraction, fixed by the caller when known.
     """
 
     w: float
@@ -82,6 +84,15 @@ class ProofParams:
     kappa_lo: float
     kappa_hi: float
     alpha_exp: float | None = None
+    kappa: float | None = None
+
+    def __post_init__(self):
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", 0.5 * (self.kappa_lo + self.kappa_hi))
+        elif not self.kappa_lo < self.kappa < self.kappa_hi:
+            raise ValueError(
+                f"kappa must lie strictly inside ({self.kappa_lo:.6g}, {self.kappa_hi:.6g})"
+            )
 
     @property
     def delta_dv(self):
@@ -91,24 +102,18 @@ class ProofParams:
     def delta_prime_dv(self):
         return 2 * self.delta_dv - self.d_v
 
-    @property
-    def kappa_mid(self):
-        return 0.5 * (self.kappa_lo + self.kappa_hi)
-
-    def require_kappa(self, kappa):
-        """Raise ValueError unless ``kappa`` lies strictly inside the kappa interval."""
-        if not self.kappa_lo < kappa < self.kappa_hi:
-            raise ValueError(
-                f"kappa must lie strictly inside ({self.kappa_lo:.6g}, {self.kappa_hi:.6g})"
-            )
+    def matching_cap(self, n):
+        """(alpha n - 1) / (1 + gamma): the largest |U| the matching argument covers."""
+        return (self.alpha_exp * n - 1.0) / (1.0 + self.gamma)
 
 
-def derive_params(w, d_v, delta_hat=None, alpha_exp=None):
+def derive_params(w, d_v, delta_hat=None, alpha_exp=None, kappa=None):
     """Fill and validate all proof constants for truncation value ``w``.
 
     Requires w >= 1 and d_v > 4(4w + 2). delta_hat defaults to the midpoint
     of its legal open interval; delta is the largest value <= delta_hat with
-    delta * d_v integral. Every inequality is checked and named on failure.
+    delta * d_v integral. Every inequality is checked and named on failure;
+    ``ProofParams`` defaults and checks ``kappa``.
     """
     w = float(w)
     d_v = operator.index(d_v)
@@ -149,7 +154,7 @@ def derive_params(w, d_v, delta_hat=None, alpha_exp=None):
             raise ParameterError(f"alpha_exp must lie in (0, 1), got {alpha_exp}")
     return ProofParams(
         w=w, d_v=d_v, delta_hat=delta_hat, delta=delta, delta_prime=delta_prime,
-        gamma=gamma, kappa_lo=kappa_lo, kappa_hi=kappa_hi, alpha_exp=alpha_exp,
+        gamma=gamma, kappa_lo=kappa_lo, kappa_hi=kappa_hi, alpha_exp=alpha_exp, kappa=kappa,
     )
 
 
@@ -193,8 +198,10 @@ def check_expansion(g, beta_exp, s_max):
 
     Subset sizes ascend and subsets enumerate lexicographically, so the first
     violator is deterministic. The total subset count must stay within the
-    enumeration budget.
+    enumeration budget, and a NaN ``beta_exp`` is rejected.
     """
+    if math.isnan(beta_exp):
+        raise ValueError("beta_exp must be a number, got nan")
     s_max = operator.index(s_max)
     if s_max < 1 or s_max > g.n:
         raise ValueError(f"s_max must lie in 1..{g.n}")
@@ -225,25 +232,24 @@ def check_expansion(g, beta_exp, s_max):
                             required=None, subsets_checked=checked)
 
 
-def _is_owner(g, owner):
-    """Whether ``owner`` names one variable, or -1, for every check."""
-    return (owner.shape == (g.m,) and owner.dtype.kind in "iu"
-            and owner.min() >= -1 and owner.max() < g.n)
+def _owner_edges(g, owner):
+    """Mask of the edges whose check ``owner`` gives to the edge's variable,
+    aligned with ``(g.edge_var, g.var_indices)``; None unless ``owner`` gives
+    each check to a variable at that check, or to none (-1)."""
+    if not (owner.shape == (g.m,) and owner.dtype.kind in "iu"
+            and owner.min() >= -1 and owner.max() < g.n):
+        return None
+    own = owner[g.var_indices] == g.edge_var
+    # The graph is simple, so each held check has at most one edge to its
+    # holder, and exactly one when the holder is at the check.
+    return own if np.count_nonzero(own) == np.count_nonzero(owner >= 0) else None
 
 
 def _verify_matching(g, owner, need):
     """True when ``owner`` gives each check to a variable at that check, or
     to none (-1), and at least ``need[i]`` checks to every variable i."""
-    if not _is_owner(g, owner):
-        return False
-    check = np.flatnonzero(owner >= 0)
-    var = owner[check]
-    # The edge keys ascend (variable-major, each variable's checks
-    # ascending); a key past the last one meets the sentinel -1.
-    keys, wanted = g.edge_var * g.m + g.var_indices, var * g.m + check
-    if not np.array_equal(np.append(keys, -1)[np.searchsorted(keys, wanted)], wanted):
-        return False
-    return bool((np.bincount(var, minlength=g.n) >= need).all())
+    return _owner_edges(g, owner) is not None and bool(
+        (np.bincount(owner[owner >= 0], minlength=g.n) >= need).all())
 
 
 def find_delta_matching(g, u, udot, params):
@@ -313,23 +319,23 @@ def find_delta_matching(g, u, udot, params):
     return owner
 
 
-def weights_from_matching(g, owner, u, kappa, params):
+def weights_from_matching(g, owner, u, params):
     """Constructive assignment, one weight per edge, aligned with
     ``(g.edge_var, g.var_indices)``: each check whose ``owner`` is a
-    high-noise variable (mask ``u``) puts -kappa on that edge and +kappa on
-    its other edges; checks held by boundary variables, and free checks,
-    stay at zero."""
-    params.require_kappa(kappa)
+    high-noise variable (mask ``u``) puts -kappa (``params.kappa``) on that
+    edge and +kappa on its other edges; checks held by boundary variables,
+    and free checks, stay at zero."""
     u = _require_mask(g, u, "U")
     owner = np.asarray(owner)
-    if not _is_owner(g, owner):
-        raise ValueError(f"owner must hold one integer in -1..{g.n - 1} for each of "
-                         f"{g.m} checks, got {owner.dtype} of shape {owner.shape}")
+    own = _owner_edges(g, owner)
+    if own is None:
+        raise ValueError(f"owner must give each of {g.m} checks to -1 or to a variable at "
+                         f"that check, got {owner.dtype} of shape {owner.shape}")
     held = owner[g.var_indices]  # the holder of each edge's check
     by_u = (held >= 0) & u[held]
     tau = np.zeros(g.num_edges)
-    tau[by_u] = kappa
-    tau[by_u & (held == g.edge_var)] = -kappa
+    tau[by_u] = params.kappa
+    tau[by_u & own] = -params.kappa
     return tau
 
 
@@ -347,8 +353,8 @@ def check_feasible(g, tau, lamp):
     Pairwise sums at a check are non-negative iff its two smallest weights
     sum to >= 0; ``bad_check`` is the lowest check where they do not. The
     per-variable condition is strict, so the verdict passes only when the
-    margin is positive. ``tau`` must hold one weight per edge, aligned with
-    ``(g.edge_var, g.var_indices)``.
+    margin is positive. ``tau`` must hold one finite weight per edge,
+    aligned with ``(g.edge_var, g.var_indices)``.
     """
     lamp = _llr_vector(g, lamp)
     tau = np.asarray(tau, dtype=float)
@@ -357,6 +363,8 @@ def check_feasible(g, tau, lamp):
             f"weights must cover exactly the edge set of the graph: "
             f"{g.num_edges} weights, got shape {tau.shape}"
         )
+    if not np.isfinite(tau).all():
+        raise ValueError("weights must be finite")
     # sorted by check, then weight: check j's weights fill its CSR range
     by_check = tau[np.lexsort((tau, g.var_indices))]
     pairs = np.flatnonzero(g.check_degrees >= 2)
@@ -483,10 +491,9 @@ def chernoff_sigma_budget(params, n=None):
         sigma = math.nextafter(sigma, 0.0)
     caps = {}
     if n is not None:
-        an = params.alpha_exp * n
         caps = {
-            "u_cap_chernoff": an / (2.0 * (1.0 + params.gamma)),
-            "u_cap_matching": (an - 1.0) / (1.0 + params.gamma),
+            "u_cap_chernoff": params.alpha_exp * n / (2.0 * (1.0 + params.gamma)),
+            "u_cap_matching": params.matching_cap(n),
         }
     return SigmaBudget(sigma2_max=sigma * sigma, sigma_max=sigma,
                        p_target=target, n=n, **caps)

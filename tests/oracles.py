@@ -874,14 +874,13 @@ def run_witness_rate_cell_major(config):
     proof = config.proof or ProofSpec()
     spec = config.maps[0]
     expansion = "assumed"
-    params = derive_params(proof.w, d_v, proof.delta_hat)
+    params = derive_params(proof.w, d_v, proof.delta_hat, kappa=proof.kappa)
     if proof.verify_smax is not None:
         alpha_exp = proof.verify_smax / g.n
         verdict = check_expansion(g, params.delta_dv, proof.verify_smax)
         expansion = "verified" if verdict.ok else "assumed"
-        params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp)
-    kappa = proof.kappa if proof.kappa is not None else params.kappa_mid
-    params.require_kappa(kappa)
+        params = derive_params(proof.w, d_v, proof.delta_hat, alpha_exp=alpha_exp,
+                               kappa=proof.kappa)
     zeros_bar = bpsk(np.zeros(g.n, dtype=np.uint8))
 
     rows = []
@@ -896,7 +895,7 @@ def run_witness_rate_cell_major(config):
             owner = find_delta_matching(g, u, udot, params)
             built_ok = False
             if owner is not None:
-                tau = weights_from_matching(g, owner, u, kappa, params)
+                tau = weights_from_matching(g, owner, u, params)
                 built_ok = check_feasible(g, tau, lamp).ok
             s_star = witness_search(g, lamp)
             out = lp_decode(g, lamp)
@@ -912,7 +911,7 @@ def run_witness_rate_cell_major(config):
             if expansion == "verified":
                 an = params.alpha_exp * g.n
                 size_u = int(np.count_nonzero(u))
-                if size_u <= (an - 1.0) / (1.0 + params.gamma):
+                if size_u <= params.matching_cap(g.n):
                     viol += size_u + int(np.count_nonzero(udot)) > an + 1e-9
         rows.append(WitnessRateRow(
             sigma2=s2, trials=config.trials, witness_positive=wpos,

@@ -148,7 +148,7 @@ def test_criterion_3_constructive_pipeline_soundness():
         matching = find_delta_matching(g, u, udot, params)
         if matching is None:
             continue
-        weights = weights_from_matching(g, matching, u, params.kappa_mid, params)
+        weights = weights_from_matching(g, matching, u, params)
         verdict = check_feasible(g, weights, lam)
         assert verdict.ok, f"infeasible construction, margin {verdict.margin}"
         out = lp_decode(g, lam)

@@ -9,6 +9,7 @@ import pytest
 
 from lpldpc import emit_alist, enumerate_codewords, generate_regular, lp_decode, parse_alist
 from lpldpc.cli import main
+from lpldpc.simcli import ExperimentConfig, emit_csv, run_witness_rate
 
 from oracles import var_regular_graph
 
@@ -221,6 +222,22 @@ def test_sim_pseudo_scan_end_to_end(tmp_path):
     assert all(float(r["pseudoweight"]) <= float(r["bound"]) for r in rows)
 
 
+def test_sim_witness_rate_end_to_end(tmp_path):
+    cfg = {
+        "graph": {"path": write_graph(tmp_path, var_regular_graph(12, 25, 375, seed=0))},
+        "maps": ["threshold:1.0"], "sigma2": [0.0625, 0.25], "trials": 3, "seed": 1,
+        "proof": {"w": 1.0, "verify_smax": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "rate.csv"
+    assert main(["sim", "witness-rate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    emit_csv(run_witness_rate(ExperimentConfig.from_json({**cfg, "mode": "witness-rate"})), want)
+    assert out.read_bytes() == want.read_bytes()
+    assert out.read_text().startswith("sigma2,trials,witness_positive,")
+
+
 def test_sim_missing_out_is_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -253,6 +270,10 @@ _WER = {"graph": {"n": 8, "dv": 3, "dc": 4, "seed": 2}, "maps": ["trivial"],
                  "random_codeword", id="random-codeword-in-witness-rate"),
     pytest.param("pseudo-scan", {"scan": {"n_values": [16], "dv": 3, "dc": 4}, "trials": 50},
                  "trials", id="trials-in-pseudo-scan"),
+    pytest.param("wer", {**_WER, "maps": []}, "maps", id="wer-without-maps"),
+    pytest.param("witness-rate", {**_WER, "maps": ["threshold:1.0"], "sigma2": []}, "sigma2",
+                 id="witness-rate-without-sigma2"),
+    pytest.param("pseudo-scan", {"seed": 1}, "scan", id="pseudo-scan-without-scan"),
 ])
 def test_sim_bad_config_reports_error(tmp_path, capsys, mode, cfg, key):
     cfg_path = tmp_path / "cfg.json"

@@ -94,7 +94,8 @@ def test_derive_params_example_values():
     assert p.gamma == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert p.kappa_lo == pytest.approx(1.0 / 21.0, rel=1e-12)
     assert p.kappa_hi == pytest.approx(0.125, rel=1e-12)
-    assert p.kappa_lo < p.kappa_mid < p.kappa_hi
+    assert p.kappa == 0.5 * (p.kappa_lo + p.kappa_hi)
+    assert derive_params(1.0, 25, delta_hat=0.93, kappa=0.1).kappa == 0.1
 
 
 def test_derive_params_rejects_a_fractional_d_v():
@@ -201,6 +202,14 @@ def test_expansion_rejects_a_fractional_s_max():
     g = generate_regular(12, 3, 4, seed=4)
     with pytest.raises(TypeError):
         check_expansion(g, beta_exp=2.5, s_max=2.0)
+
+
+def test_expansion_rejects_a_nan_beta():
+    # count + 1e-12 < nan is always False: every subset would pass
+    g = generate_regular(24, 3, 4, seed=3)
+    with pytest.raises(ValueError, match="beta_exp"):
+        check_expansion(g, beta_exp=math.nan, s_max=2)
+    assert not check_expansion(g, beta_exp=math.inf, s_max=2).ok
 
 
 def test_expansion_budget_enforced():
@@ -386,44 +395,64 @@ def test_weights_from_empty_matching(g34_small):
     params = tiny_params(3, 2)
     none = np.zeros(g34_small.n, dtype=bool)
     owner = find_delta_matching(g34_small, none, none, params)
-    tau = weights_from_matching(g34_small, owner, none, 0.5, params)
+    tau = weights_from_matching(g34_small, owner, none, params)
     assert tau.shape == (len(g34_small.edges()),)
     assert (tau == 0.0).all()
 
 
 def test_weights_single_matched_check():
     g = TannerGraph(4, [[0, 1, 2, 3], [0, 1, 2, 3][:2]])
-    params = tiny_params(2, 1)
+    params = dataclasses.replace(tiny_params(2, 1), kappa=0.25)
     u = _mask(g, {0})
     owner = find_delta_matching(g, u, _mask(g, ()), params)
     assert owner is not None
     (i, j), = _matched(owner)
-    tau = _by_edge(g, weights_from_matching(g, owner, u, 0.25, params))
+    tau = _by_edge(g, weights_from_matching(g, owner, u, params))
     assert tau[(i, j)] == -0.25
     others = [tau[(i2, j)] for i2 in g.check_nbrs[j] if i2 != i]
     assert all(v == 0.25 for v in others)
 
 
-def test_weights_kappa_interval_enforced(g34_small):
+def test_weights_kappa_interval_enforced():
+    # the weights read kappa from ProofParams, which holds it strictly
+    # inside its interval
     params = derive_params(1.0, 25)
-    free, none = np.full(g34_small.m, -1), np.zeros(g34_small.n, dtype=bool)
-    with pytest.raises(ValueError, match="kappa"):
-        weights_from_matching(g34_small, free, none, params.kappa_hi, params)
+    for kappa in (params.kappa_lo, params.kappa_hi, math.nan):
+        with pytest.raises(ValueError, match=r"kappa must lie strictly inside \("):
+            derive_params(1.0, 25, kappa=kappa)
+        with pytest.raises(ValueError, match=r"kappa must lie strictly inside \("):
+            dataclasses.replace(params, kappa=kappa)
 
 
 def test_weights_reject_invalid_owner(g34_small):
     # an owner below -1 would otherwise index from the end of the mask
     params = tiny_params(3, 2)
     free, none = np.full(g34_small.m, -1), np.zeros(g34_small.n, dtype=bool)
-    assert not weights_from_matching(g34_small, free, none, 0.5, params).any()
+    assert not weights_from_matching(g34_small, free, none, params).any()
     for value in (-2, g34_small.n):
         owner = free.copy()
         owner[0] = value
         with pytest.raises(ValueError, match="owner"):
-            weights_from_matching(g34_small, owner, none, 0.5, params)
+            weights_from_matching(g34_small, owner, none, params)
     for owner in (free[1:], np.append(free, -1), free.astype(float)):
         with pytest.raises(ValueError, match="owner"):
-            weights_from_matching(g34_small, owner, none, 0.5, params)
+            weights_from_matching(g34_small, owner, none, params)
+
+
+def test_weights_reject_an_owner_not_at_its_check():
+    # variable 0 is not at check 0: taken as its owner, check 0 would put
+    # +kappa on every edge and -kappa on none
+    g = var_regular_graph(18, 25, 200, seed=3)
+    params = derive_params(1.0, 25)
+    assert 0 not in g.check_nbrs[0]
+    owner = np.full(g.m, -1)
+    owner[0] = 0
+    with pytest.raises(ValueError, match="owner"):
+        weights_from_matching(g, owner, _mask(g, {0}), params)
+    (i,) = g.check_nbrs[0]  # the one variable at check 0
+    owner[0] = i
+    tau = weights_from_matching(g, owner, _mask(g, {i}), params)
+    assert _by_edge(g, tau)[(i, 0)] == -params.kappa and np.count_nonzero(tau) == 1
 
 
 def test_masks_must_be_boolean_and_length_n(g34_small):
@@ -437,7 +466,7 @@ def test_masks_must_be_boolean_and_length_n(g34_small):
         with pytest.raises(ValueError, match="boolean mask"):
             find_delta_matching(g34_small, none, bad, params)
         with pytest.raises(ValueError, match="boolean mask"):
-            weights_from_matching(g34_small, np.full(g34_small.m, -1), bad, 0.5, params)
+            weights_from_matching(g34_small, np.full(g34_small.m, -1), bad, params)
 
 
 def test_weights_always_satisfy_pairwise(g34_small):
@@ -448,7 +477,7 @@ def test_weights_always_satisfy_pairwise(g34_small):
     owner = find_delta_matching(g34_small, u, udot, params)
     if owner is None:
         pytest.skip("no matching on this fixture")
-    tau = _by_edge(g34_small, weights_from_matching(g34_small, owner, u, 0.5, params))
+    tau = _by_edge(g34_small, weights_from_matching(g34_small, owner, u, params))
     for j, nbrs in enumerate(g34_small.check_nbrs):
         vals = sorted(tau[(i, j)] for i in nbrs)
         assert vals[0] + vals[1] >= 0.0
@@ -458,7 +487,7 @@ def test_check_feasible_zero_weights(g34_small):
     none = np.zeros(g34_small.n, dtype=bool)
     zero = weights_from_matching(
         g34_small, find_delta_matching(g34_small, none, none, tiny_params(3, 2)),
-        none, 0.5, tiny_params(3, 2),
+        none, tiny_params(3, 2),
     )
     verdict = check_feasible(g34_small, zero, np.ones(g34_small.n))
     assert verdict.ok and verdict.margin == pytest.approx(1.0)
@@ -471,6 +500,15 @@ def test_check_feasible_zero_weights(g34_small):
 def test_check_feasible_requires_full_edge_cover(g34_small):
     with pytest.raises(ValueError, match="edge set"):
         check_feasible(g34_small, np.zeros(1), np.ones(g34_small.n))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_feasible_rejects_a_non_finite_weight(g34_small, bad):
+    # a NaN weight passed every pairwise test, and +inf gave margin -inf
+    tau = np.zeros(g34_small.num_edges)
+    tau[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        check_feasible(g34_small, tau, np.ones(g34_small.n))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -487,7 +525,7 @@ def test_check_feasible_matches_dict_oracle(data):
         u = rng.random(g.n) < 0.4
         owner = find_delta_matching(g, u, np.zeros(g.n, dtype=bool), params)
         if owner is not None:
-            tau = weights_from_matching(g, owner, u, 0.5, params)
+            tau = weights_from_matching(g, owner, u, params)
     lamp = rng.integers(-1, 4, size=g.n) / 2.0
     got = check_feasible(g, tau, lamp)
     want = check_feasible_by_dicts(g, dict(zip(g.edges(), tau.tolist())), lamp)
@@ -495,7 +533,8 @@ def test_check_feasible_matches_dict_oracle(data):
 
 
 def test_constructive_weights_feasible_and_decode_succeeds():
-    # executable form of the final construction: matching + midpoint kappa
+    # executable form of the final construction: matching + midpoint kappa,
+    # the default of derive_params
     # implies a feasible assignment and an all-zeros LP decode
     params = derive_params(1.0, 25)
     ch = ChannelParams(0.33 ** 2)
@@ -510,7 +549,7 @@ def test_constructive_weights_feasible_and_decode_succeeds():
             m = find_delta_matching(g, u, udot, params)
             if m is None:
                 continue
-            w = weights_from_matching(g, m, u, params.kappa_mid, params)
+            w = weights_from_matching(g, m, u, params)
             verdict = check_feasible(g, w, lam)
             assert verdict.ok, f"margin {verdict.margin}"
             assert lp_decode(g, lam).is_zero_codeword()
