@@ -30,7 +30,7 @@ class ChannelParams:
     sigma2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+        if isinstance(self.sigma2, bool) or not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
     @property
@@ -62,7 +62,8 @@ class MapSpec:
             if self.param is not None:
                 raise ValueError("trivial map takes no parameter")
         else:
-            if self.param is None or not (math.isfinite(self.param) and self.param > 0):
+            if (self.param is None or isinstance(self.param, bool)
+                    or not (math.isfinite(self.param) and self.param > 0)):
                 raise ValueError(f"{self.kind} map needs a positive finite parameter")
 
     @classmethod

@@ -240,17 +240,18 @@ def lp_decode(g, lamp):
     """
     lamp = _llr_vector(g, lamp)
     cons = build_constraints(g)  # the degree cap holds even when no LP is solved
-    scale = np.abs(lamp).max()
+    mag = np.abs(lamp)
+    scale = mag.max()
+    # min|cn| is min|lamp| / scale: dividing by a positive scale keeps the order
+    if scale > 0 and TIE_FACE_EPS <= INTEGRALITY_TOL * (mag.min() / scale):
+        hard = (lamp < 0).astype(float)
+        if not hard.any() or _parity_ok(g, hard):  # the zero word meets every check
+            stats = {"uniqueness": "hard_decision", "main_pivots": 0, "probe_pivots": 0}
+            objective = float(lamp.sum() - 2.0 * (lamp @ hard))
+            return DecodeOutcome(status="integral", vertex=hard, objective=objective,
+                                 codeword=hard.astype(np.uint8), stats=stats)
+
     cn = lamp / scale if scale > 0 else lamp.copy()
-
-    hard = (lamp < 0).astype(float)
-    if TIE_FACE_EPS <= INTEGRALITY_TOL * np.abs(cn).min() and _parity_ok(g, hard):
-        stats = {"uniqueness": "hard_decision", "main_pivots": 0, "probe_pivots": 0}
-        return DecodeOutcome(
-            status="integral", vertex=hard, objective=float(lamp.sum() - 2.0 * (lamp @ hard)),
-            codeword=hard.astype(np.uint8), stats=stats,
-        )
-
     sol = simplex.solve(cn, cons.a, cons.b, sense="min")
     x1 = sol.x
     objective = float(lamp.sum() - 2.0 * (lamp @ x1))

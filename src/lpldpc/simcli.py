@@ -436,9 +436,10 @@ def run_witness_rate(config):
 def emit_csv(results, path, row_type=None):
     """Write dataclass rows as CSV: a header line plus one row per result.
 
-    Floats are written with repr (shortest round-trip), so parsing the file
-    back reproduces every field exactly. An empty result list writes the
-    header only; pass ``row_type`` to name the schema in that case.
+    Floats, numpy float64 included, are written as the repr of a Python
+    float (shortest round-trip), so parsing the file back reproduces every
+    field exactly. An empty result list writes the header only; pass
+    ``row_type`` to name the schema in that case.
     """
     rows = list(results)
     rt = row_type if row_type is not None else (type(rows[0]) if rows else None)
@@ -449,7 +450,7 @@ def emit_csv(results, path, row_type=None):
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in (getattr(row, nm) for nm in names)])
 
 

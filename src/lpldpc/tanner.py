@@ -27,15 +27,10 @@ __all__ = [
 # Full resamples of the stub matching before giving up on a simple graph.
 RETRY_CAP = 10_000
 
-# Byte classes of an ASCII alist document, as a bytes.translate table: 0 a
-# blank that str.split() splits at, 1 a blank that str.splitlines() also
-# breaks lines at, 2 a decimal digit, 3 anything else.
-_KIND = bytes(2 if 48 <= b <= 57 else 1 if b in (10, 11, 12, 13, 28, 29, 30)
-              else 0 if b in (9, 31, 32) else 3 for b in range(256))
-# Place values of a token's last 18 digits, then 0 for the digits before
-# them: a token of _BIG or more is held at _BIG, so int64 sums never overflow.
-_POW10 = np.append(10 ** np.arange(18, dtype=np.int64), 0)
-_BIG = 10 ** 18
+# The ASCII blanks at which str.split() splits tokens. numpy's text reader
+# splits only at the first six, so the rest become spaces before it reads.
+_BLANKS = b" \t\n\r\v\f\x1c\x1d\x1e\x1f"
+_TO_SPACE = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
 # Longest alist token, in digits: Python's default limit for int() of a
 # decimal string (sys.int_max_str_digits), which counts leading zeros too.
 MAX_TOKEN_DIGITS = 4300
@@ -188,13 +183,13 @@ def parse_alist(text):
     lists, then the 1-based neighbor lists (zero padding allowed). Both
     adjacency blocks are cross-checked against each other.
 
-    The document is read as one byte array. Tokens and lines split where
-    ``str.split`` and ``str.splitlines`` split them, and blank lines drop
-    out. A token holds unsigned decimal digits only; its value comes from
-    the place values of its last 18 digits, and a token of 10**18 or more
-    is held at 10**18 and read exactly wherever it is compared or named. A
-    token of more than ``MAX_TOKEN_DIGITS`` digits is an error.
-    The checks run per block on arrays and report the first failure in
+    The document must be ASCII. Its lines are those of ``str.splitlines``
+    and its tokens those of ``str.split``; blank lines drop out. A token
+    holds unsigned decimal digits only, at most ``MAX_TOKEN_DIGITS`` of
+    them. The header, maximum-degree and degree tokens are read with
+    ``int``, and every value once more by one numpy read, which saturates a
+    token beyond int64; such a value is out of range for any graph. The
+    checks run per block on arrays and report the first failure in
     document order.
     """
     if isinstance(text, (bytes, bytearray)):
@@ -202,72 +197,47 @@ def parse_alist(text):
         if not data.isascii():
             offset = next(k for k, b in enumerate(data) if b >= 128)
             raise AlistError(f"non-ASCII byte at offset {offset}")
+        text = data.decode("ascii")
     elif not text.isascii():
         offset = next(k for k, ch in enumerate(text) if not ch.isascii())
         raise AlistError(f"non-ASCII character at offset {offset}")
     else:
         data = text.encode("ascii")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    kind = np.frombuffer(data.translate(_KIND), dtype=np.uint8)
     # Only unsigned decimal digits: "+3", "0_1" and "3.0" are no alist integers.
-    bad = np.flatnonzero(kind == 3)
-    if bad.size:
-        breaks = np.flatnonzero(kind == 1)
-        k = np.searchsorted(breaks, bad[0])
-        start = breaks[k - 1] + 1 if k else 0
-        end = breaks[k] if k < breaks.size else buf.size
-        raise AlistError(f"non-integer token in line {data[start:end].decode()!r}")
-    # padded with a blank at each end, so every token starts and ends
-    word = np.zeros(buf.size + 2, dtype=bool)
-    word[1:-1] = kind == 2
-    edges = np.flatnonzero(word[1:] != word[:-1])
-    starts, ends = edges[::2], edges[1::2]
-    lengths = ends - starts
-    too_long = lengths[lengths > MAX_TOKEN_DIGITS]
-    if too_long.size:
+    raw_lines = text.splitlines()
+    if data.translate(None, b"0123456789" + _BLANKS):
+        raw = next(raw for raw in raw_lines if not all(map(str.isdigit, raw.split())))
+        raise AlistError(f"non-integer token in line {raw!r}")
+    # only a line longer than a token's limit can hold a token beyond it
+    too_long = [len(token) for raw in raw_lines if len(raw) > MAX_TOKEN_DIGITS
+                for token in raw.split() if len(token) > MAX_TOKEN_DIGITS]
+    if too_long:
         raise AlistError(f"integer token of {too_long[0]} digits; "
                          f"at most {MAX_TOKEN_DIGITS} are read")
-    # Line breaks before each token; a "\r\n" counts twice, but the blank
-    # line between drops out with the others.
-    line = np.cumsum(kind == 1)[starts]
-    first = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
-    counts = np.diff(first, append=starts.size)  # tokens per non-blank line
-    if first.size < 4:
+    lines = [tokens for tokens in map(str.split, raw_lines) if tokens]
+    if len(lines) < 4:
         raise AlistError("truncated file: need header, max degrees and degree lists")
-    if counts[0] != 2:
+    if len(lines[0]) != 2:
         raise AlistError("header must contain exactly 'n m'")
-
-    def exact(k):
-        return int(data[starts[k]:ends[k]])
-
-    n, m = exact(0), exact(1)
+    n, m = map(int, lines[0])
     if n < 1 or m < 1:
         raise AlistError(f"non-positive dimensions n={n}, m={m}")
-    if counts[1] != 2:
+    if len(lines[1]) != 2:
         raise AlistError("second line must contain the two maximum degrees")
-    dv_max, dc_max = exact(2), exact(3)
-    if int(counts[2]) != n:
-        raise AlistError(f"expected {n} variable degrees, got {counts[2]}")
-    if int(counts[3]) != m:
-        raise AlistError(f"expected {m} check degrees, got {counts[3]}")
-
-    at = np.flatnonzero(word[1:-1])
-    place = np.repeat(ends - 1, lengths) - at  # digits to the right
-    vals = np.add.reduceat((buf[at] - 48) * _POW10[np.minimum(place, 18)],
-                           np.cumsum(lengths) - lengths)
-    for k in np.flatnonzero(lengths > 18).tolist():
-        if data[starts[k]:ends[k] - 18].strip(b"0"):
-            vals[k] = _BIG
-    for lo, hi, limit in ((4, 4 + n, dv_max), (4 + n, 4 + n + m, dc_max)):
-        held = lo + np.flatnonzero(vals[lo:hi] == _BIG)  # compared exactly
-        if (vals[lo:hi] > min(limit, _BIG)).any() or any(exact(k) > limit for k in held.tolist()):
-            raise AlistError("degree list entry exceeds declared maximum degree")
-    if first.size != 4 + n + m:
-        raise AlistError(f"expected {4 + n + m} lines, got {first.size}")
+    dv_max, dc_max = map(int, lines[1])
+    if len(lines[2]) != n:
+        raise AlistError(f"expected {n} variable degrees, got {len(lines[2])}")
+    if len(lines[3]) != m:
+        raise AlistError(f"expected {m} check degrees, got {len(lines[3])}")
+    if max(map(int, lines[2])) > dv_max or max(map(int, lines[3])) > dc_max:
+        raise AlistError("degree list entry exceeds declared maximum degree")
+    if len(lines) != 4 + n + m:
+        raise AlistError(f"expected {4 + n + m} lines, got {len(lines)}")
+    vals = np.fromstring(data.translate(_TO_SPACE), dtype=np.int64, sep=" ")
 
     # Rows 0..n-1 list the variables' checks, rows n..n+m-1 the checks'
     # variables; zeros are padding.
-    row = np.repeat(np.arange(n + m), counts[4:])
+    row = np.repeat(np.arange(n + m), list(map(len, lines[4:])))
     entry = vals[4 + n + m:]
     row, entry = row[entry != 0], entry[entry != 0]
     declared = vals[4:4 + n + m]
@@ -284,8 +254,9 @@ def parse_alist(text):
         r = int(bad[0])
         what, k, upper = ("variable", r, m) if r < n else ("check", r - n, n)
         if listed[r] != declared[r]:
+            degree = int((lines[2] + lines[3])[r])  # exact where vals saturates
             raise AlistError(
-                f"{what} {k}: declared degree {exact(4 + r)} but {listed[r]} neighbors listed"
+                f"{what} {k}: declared degree {degree} but {listed[r]} neighbors listed"
             )
         if out_of_range[r]:
             raise AlistError(f"{what} {k}: neighbor index out of range 1..{upper}")

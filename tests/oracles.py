@@ -490,9 +490,9 @@ def tanner_views_by_loops(n, check_nbrs):
 
 
 def parse_alist_by_tokens(text):
-    """``parse_alist`` as it read a document before the byte-array
-    tokenizer: per line and per token in Python, with the same checks in the
-    same order, so it returns an equal graph or raises the same AlistError."""
+    """``parse_alist`` per line and per token in Python, with no array
+    code: the same checks in the same order, so it returns an equal graph
+    or raises the same AlistError."""
     from lpldpc import AlistError, TannerGraph
     from lpldpc.tanner import MAX_TOKEN_DIGITS
 

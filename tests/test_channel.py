@@ -47,6 +47,8 @@ def test_channel_params_validation():
         ChannelParams(0.0)
     with pytest.raises(ValueError):
         ChannelParams(-1.0)
+    with pytest.raises(ValueError, match="sigma2 must be positive and finite, got True"):
+        ChannelParams(True)  # a bool is no variance, as in a config file
 
 
 def test_transmit_zero_noise_limit():
@@ -119,6 +121,9 @@ def test_map_parse_and_str():
     for bad in ("trivial:1", "threshold", "clip:1", "threshold:-2", "quantize2:0"):
         with pytest.raises(ValueError):
             MapSpec.parse(bad)
+    for kind in ("threshold", "quantize2"):
+        with pytest.raises(ValueError, match=f"{kind} map needs a positive finite parameter"):
+            MapSpec(kind, True)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -759,6 +759,10 @@ def test_emit_csv_round_trip(tmp_path):
     assert float(records[0]["wer"]) == rows[0].wer  # repr round-trips exactly
     assert int(records[1]["tie"]) == 1
     assert float(records[1]["sigma2"]) == 1.25
+    # a numpy float64 field is written as a float, not as "np.float64(0.5)"
+    emit_csv([ScanRow(n=8, dv=3, dc=4, graph_seed=1, root=0, alpha=np.float64(0.5),
+                      pseudoweight=np.float64(2.0), bound=3.0)], str(path))
+    assert path.read_text().splitlines()[1] == "8,3,4,1,0,0.5,2.0,3.0"
 
 
 def test_emit_csv_empty_writes_header_only(tmp_path):

@@ -474,6 +474,10 @@ def _parse_outcome(parse, data):
 @example(data=b"99999999999999999999 0\n1 1\n1\n1\n")
 @example(data=SINGLE_CHECK_ALIST.replace("1 3\n", "9" * 5000 + " 3\n").encode())
 @example(data=b"3 1\x1c1 3\x1d1\x1f1 1\x1e3\f1\v1\r1\n1 2 x3\n")
+@example(data=PADDED_ALIST.encode().replace(b" ", b"\x1f").replace(b"\n", b"\x0b", 5)
+         .replace(b"\n", b"\x0c", 1).replace(b"\n", b"\x1c\x1d\x1e", 3))
+@example(data=SINGLE_CHECK_ALIST.replace("1 2 3", "1 2 " + "9" * 4300).encode())  # out of range
+@example(data=SINGLE_CHECK_ALIST.replace("1 2 3", "1 2 " + "0" * 4299 + "3").encode())
 def test_parse_matches_per_token_parser(data):
     # bytes, and the same document as text (where a byte >= 128 is a
     # non-ASCII character): an equal graph, or the same AlistError message
