@@ -30,8 +30,14 @@ class ChannelParams:
     sigma2: float
 
     def __post_init__(self):
+        import sys
+
         if isinstance(self.sigma2, bool) or not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        # eta = sigma2 / 2 is exact, as normalized_llr needs, once it is normal
+        if self.sigma2 < 2.0 * sys.float_info.min:
+            raise ValueError(f"sigma2 must be at least 2 * sys.float_info.min = "
+                             f"{2.0 * sys.float_info.min!r}, got {self.sigma2!r}")
 
     @property
     def eta(self):

@@ -129,22 +129,22 @@ def _odd_subset_gaps(rows):
     return 2.0 * csum[::2] - total
 
 
-def _within_polytope(w, groups, tol=FEASIBILITY_TOL):
+def _within_polytope(w, groups):
     """``membership``'s test of ``w``, given ``groups``, the lazily yielded
     ``_odd_subset_rows`` of ``w``. A NaN propagates through ``min`` and
     ``max`` and fails both box comparisons, as an infinity fails one; a
     size's rows all hold when the largest gap over the checks does."""
-    if not (-tol <= w.min() and w.max() <= 1 + tol):
+    if not (-FEASIBILITY_TOL <= w.min() and w.max() <= 1 + FEASIBILITY_TOL):
         return False
     for _, rows in groups:
         tops = _odd_subset_gaps(rows).max(axis=1).tolist()
-        if any(top > 2.0 * t + tol for t, top in enumerate(tops)):
+        if any(top > 2.0 * t + FEASIBILITY_TOL for t, top in enumerate(tops)):
             return False
     return True
 
 
-def membership(g, w, tol=FEASIBILITY_TOL):
-    """True iff ``w`` satisfies every polytope constraint within ``tol``.
+def membership(g, w):
+    """True iff ``w`` meets every polytope constraint within ``FEASIBILITY_TOL``.
 
     No row is built: each check's most violated odd subset of every size
     comes from one sort per check degree and prefix sums
@@ -153,7 +153,7 @@ def membership(g, w, tol=FEASIBILITY_TOL):
     w = np.asarray(w, dtype=float)
     if w.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} vector, got shape {w.shape}")
-    return _within_polytope(w, _odd_subset_rows(g, w), tol)
+    return _within_polytope(w, _odd_subset_rows(g, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +252,7 @@ def lp_decode(g, lamp):
                                  codeword=hard.astype(np.uint8), stats=stats)
 
     cn = lamp / scale if scale > 0 else lamp.copy()
-    sol = simplex.solve(cn, cons.a, cons.b, sense="min")
+    sol = simplex.solve(cn, cons.a, cons.b)
     x1 = sol.x
     objective = float(lamp.sum() - 2.0 * (lamp @ x1))
     stats = {"uniqueness": "certified", "main_pivots": sol.iterations, "probe_pivots": 0}
@@ -273,13 +273,13 @@ def lp_decode(g, lamp):
     return DecodeOutcome(status="fractional", vertex=x1, objective=objective, stats=stats)
 
 
-def _codeword_chunks(g, chunk_bits=16):
+def _codeword_chunks(g):
     basis = gf2.nullspace_basis(g.parity_check_matrix())
     k, _ = basis.shape
     if k > MAX_DIMENSION:
         raise ValueError(f"code dimension {k} exceeds cap {MAX_DIMENSION}")
     words = basis.astype(np.int64)
-    step = 1 << min(chunk_bits, k)
+    step = 1 << min(16, k)  # at most 2^16 codewords per chunk
     shifts = np.arange(k, dtype=np.int64)
     for lo in range(0, 1 << k, step):
         idx = np.arange(lo, min(lo + step, 1 << k), dtype=np.int64)

@@ -149,7 +149,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for s2 in self.sigma2:
-            ChannelParams(s2)  # raises unless positive and finite
+            ChannelParams(s2)  # raises on a variance ChannelParams refuses
         for name in mode.needs:
             if not getattr(self, name):  # None, or an empty list
                 raise ValueError(f"config: {self.mode} mode needs {name!r}")

@@ -1,6 +1,6 @@
 """Dense primal simplex with Bland's anti-cycling rule.
 
-Solves min/max c.x subject to A x <= b, x >= 0 with b >= 0, so the slack
+Solves min c.x subject to A x <= b, x >= 0 with b >= 0, so the slack
 basis at the origin is feasible and there is no phase 1; the returned
 point is always a basic feasible solution, i.e. a vertex of the feasible
 region. Pivoting is fully deterministic.
@@ -32,7 +32,6 @@ sharpness > 0 certifies that the optimum is unique (Mangasarian,
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,9 +97,10 @@ def _set_objective(tab, basis, nonbasic, cost):
         tab[-1] -= cb[r] * tab[r]
 
 
-def _pivot_loop(tab, basis, nonbasic, max_iter):
-    """Run Bland pivots to optimality; returns the pivot count."""
-    rows = tab.shape[0] - 1
+def _pivot_loop(tab, basis, nonbasic):
+    """Run Bland pivots to optimality; returns the pivot count. Raises
+    IterationLimitError past ``MAX_ITER`` pivots, read at call time."""
+    rows, cap = tab.shape[0] - 1, MAX_ITER
     it = 0
     while True:
         candidates = np.flatnonzero(tab[-1, :-1] < -PIVOT_TOL)
@@ -118,20 +118,20 @@ def _pivot_loop(tab, basis, nonbasic, max_iter):
         col = int(nonbasic[s])
         _exchange(tab, basis, nonbasic, row, s)
         it += 1
-        if it > max_iter:
+        if it > cap:
             raise IterationLimitError(
-                f"no optimum within {max_iter} pivots; "
+                f"no optimum within {cap} pivots; "
                 f"current objective {-tab[-1, -1]:.6g}, last pivot ({row}, {col})"
             )
 
 
-def _optimize(tab, basis, nonbasic, cost, max_iter):
+def _optimize(tab, basis, nonbasic, cost):
     """Price ``cost``, on structural labels 0..len(cost)-1, into the last
     row of a feasible tableau and pivot it to an optimum."""
     full = np.zeros(nonbasic.size + basis.size)
     full[:cost.size] = cost
     _set_objective(tab, basis, nonbasic, full)
-    iters = _pivot_loop(tab, basis, nonbasic, max_iter)
+    iters = _pivot_loop(tab, basis, nonbasic)
     values = np.zeros(full.size)
     values[basis] = tab[:-1, -1]
     x = values[:cost.size].copy()
@@ -142,17 +142,8 @@ def _optimize(tab, basis, nonbasic, cost, max_iter):
                       sharpness=float(sharpness), tableau=(tab, nonbasic))
 
 
-def _solve_min(c, a, b, max_iter):
-    m, n = a.shape
-    # Structurals 0..n-1 start nonbasic at 0, slacks n..n+m-1 basic at b.
-    tab = np.zeros((m + 1, n + 1))
-    tab[:m, :n] = a
-    tab[:m, -1] = b
-    return _optimize(tab, n + np.arange(m), np.arange(n), c, max_iter)
-
-
-def solve(c, a, b, sense="min", max_iter=MAX_ITER):
-    """Optimize c.x over {A x <= b, x >= 0}, for b >= 0.
+def solve(c, a, b):
+    """Minimize c.x over {A x <= b, x >= 0}, for b >= 0.
 
     The slack basis at the origin is feasible, so Bland pivots start there.
     Returns an LpSolution whose ``x`` is an optimal basic feasible solution
@@ -162,8 +153,9 @@ def solve(c, a, b, sense="min", max_iter=MAX_ITER):
     variable basic in each row (structurals 0..n-1, slacks from n) and
     ``iterations`` counts pivots. The work is one condensed tableau of
     (m+1) x (n+1) entries, kept on the solution for ``minimize_on_face``.
-    Raises ValueError on a negative right-hand side, and UnboundedError /
-    IterationLimitError rather than ever returning a suboptimal point.
+    Raises ValueError on a negative right-hand side, UnboundedError, and
+    IterationLimitError past ``MAX_ITER`` pivots, rather than ever returning
+    a suboptimal point.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -177,22 +169,21 @@ def solve(c, a, b, sense="min", max_iter=MAX_ITER):
         raise ValueError("LP data must be finite")
     if (b < 0).any():
         raise ValueError(f"right-hand side must be >= 0, got {b.min():.6g}")
-    if sense == "min":
-        return _solve_min(c, a, b, max_iter)
-    if sense == "max":
-        sol = _solve_min(-c, a, b, max_iter)
-        return dataclasses.replace(sol, value=float(c @ sol.x))
-    raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    # Structurals 0..n-1 start nonbasic at 0, slacks n..n+m-1 basic at b.
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = a
+    tab[:m, -1] = b
+    return _optimize(tab, n + np.arange(m), np.arange(n), c)
 
 
 def minimize_on_face(sol, cost, eps):
     """Minimize cost.x over the optimal face of ``sol``'s LP, from ``sol.x``.
 
-    The face adds c.x <= c.x* + eps, c the cost ``sol`` minimized (-c for
-    sense="max"). ``sol``'s final objective row reads c.x = c.x* + r_N.x_N,
-    so that is the row r_N.x_N <= eps, whose slack (label n + m) is basic at
-    eps >= 0: ``sol``'s basis stays feasible and Bland pivots run from it,
-    with no phase 1. Returns an LpSolution as ``solve`` does; ``iterations``
+    The face adds c.x <= c.x* + eps, c the cost ``sol`` minimized. ``sol``'s
+    final objective row reads c.x = c.x* + r_N.x_N, so that is the row
+    r_N.x_N <= eps, whose slack (label n + m) is basic at eps >= 0: ``sol``'s
+    basis stays feasible and Bland pivots run from it, with no phase 1.
+    Returns an LpSolution, or raises, as ``solve`` does; ``iterations``
     counts the face pivots. ``sol``'s tableau is left as it was.
     """
     tab0, nonbasic = sol.tableau
@@ -205,4 +196,4 @@ def minimize_on_face(sol, cost, eps):
         raise ValueError(f"eps must be >= 0, got {eps}")
     tab = np.vstack([tab0, tab0[-1:]])  # the objective row becomes the face row
     tab[m, -1] = eps
-    return _optimize(tab, np.append(basis, n + m), nonbasic.copy(), cost, MAX_ITER)
+    return _optimize(tab, np.append(basis, n + m), nonbasic.copy(), cost)

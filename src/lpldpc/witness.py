@@ -433,14 +433,14 @@ def witness_search(g, lamp):
     check at a core variable has d >= 2 core neighbours, or peeling would
     have freed that variable, and its weights sum to (d - 2) M_j >= 0; so
     summing the rows bounds s by the mean of llr_R, and no cap row is
-    needed. With L = min llr_R and s = L + t the LP is: maximize t subject
-    to sum_{j in N(i)} (M_j - 2 mu_ij) + t <= llr_i - L for i in R, with
-    mu, t >= 0. Its right-hand side is >= 0, so the simplex starts at the
-    feasible origin with no phase 1, and s* = L + t*. By duality s* is the
-    minimum of llr_R . omega over the fundamental cone of the core
-    (omega >= 0, omega_i <= sum_{N(j) - i} omega at every check j)
-    normalized to sum omega = 1: the least LLR cost of a normalized
-    pseudo-codeword (Koetter & Vontobel).
+    needed. With L = min llr_R and s = L + t the LP is: maximize t, by
+    minimizing -t, subject to sum_{j in N(i)} (M_j - 2 mu_ij) + t <= llr_i - L
+    for i in R, with mu, t >= 0. Its right-hand side is >= 0, so the simplex
+    starts at the feasible origin with no phase 1, and s* = L - min(-t) =
+    L + t*. By duality s* is the minimum of llr_R . omega over the
+    fundamental cone of the core (omega >= 0, omega_i <= sum_{N(j) - i} omega
+    at every check j) normalized to sum omega = 1: the least LLR cost of a
+    normalized pseudo-codeword (Koetter & Vontobel).
     """
     lamp = _llr_vector(g, lamp)
     core = stopping_core(g)
@@ -463,8 +463,8 @@ def witness_search(g, lamp):
     llr = lamp[core]
     low = llr.min()
     c = np.zeros(ne + 1)
-    c[ne] = 1.0
-    return float(low + simplex.solve(c, a, llr - low, sense="max").value)
+    c[ne] = -1.0
+    return float(low - simplex.solve(c, a, llr - low).value)
 
 
 @dataclass(frozen=True)

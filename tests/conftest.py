@@ -33,7 +33,7 @@ def awgn_llr(g, sigma, seed, trial, map_spec=None):
 
 
 def recorded_solves(monkeypatch, run, faces=None):
-    """Run ``run()`` and return ((c, a, b, sense), solution) per simplex solve.
+    """Run ``run()`` and return ((c, a, b), solution) per simplex solve.
 
     When ``faces`` is a list, each ``simplex.minimize_on_face`` call also
     appends ((sol, cost, eps), solution) to it.
@@ -43,9 +43,9 @@ def recorded_solves(monkeypatch, run, faces=None):
     calls = []
     real, real_face = simplex.solve, simplex.minimize_on_face
 
-    def record(c, a, b, sense="min", **kwargs):
-        sol = real(c, a, b, sense=sense, **kwargs)
-        calls.append(((c, a, b, sense), sol))
+    def record(c, a, b):
+        sol = real(c, a, b)
+        calls.append(((c, a, b), sol))
         return sol
 
     def record_face(sol, cost, eps):

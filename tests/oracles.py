@@ -313,18 +313,19 @@ def dense_solve(c, a, b, sense="min", max_iter=None):
     return _dense_solution(c, *_dense_optimum(c, a, b, sense, max_iter))
 
 
-def dense_minimize_on_face(lp, cost, eps):
+def dense_minimize_on_face(lp, cost, eps, sense="min"):
     """Full-tableau reference of
-    ``simplex.minimize_on_face(simplex.solve(*lp), cost, eps)``.
+    ``simplex.minimize_on_face(simplex.solve(*lp), cost, eps)``, the face
+    of a max being that of the min of -c.x.
 
-    ``dense_solve``'s final tableau for ``lp = (c, a, b, sense)`` gains the
-    face row, its objective row with the basic columns zeroed and right-hand
-    side eps, and that row's slack column; Bland pivots on ``cost`` run from
-    that basis. ``iterations`` counts the face pivots only.
+    ``dense_solve``'s final tableau for ``lp = (c, a, b)`` under ``sense``
+    gains the face row, its objective row with the basic columns zeroed and
+    right-hand side eps, and that row's slack column; Bland pivots on
+    ``cost`` run from that basis. ``iterations`` counts the face pivots only.
     """
     from lpldpc.simplex import MAX_ITER, PIVOT_TOL
 
-    c, a, b, sense = lp
+    c, a, b = lp
     tab, basis, _ = _dense_optimum(np.asarray(c, dtype=float), a, b, sense, None)
     rows, labels = tab.shape[0] - 1, tab.shape[1] - 1
     face = np.zeros((rows + 2, labels + 2))
@@ -667,7 +668,7 @@ def lp_decode_always_probe(g, lamp):
     cons = build_constraints(g)
     scale = np.abs(lamp).max()
     cn = lamp / scale if scale > 0 else lamp.copy()
-    x1 = simplex.solve(cn, cons.a, cons.b, sense="min").x
+    x1 = simplex.solve(cn, cons.a, cons.b).x
     objective = float(lamp.sum() - 2.0 * (lamp @ x1))
     # the probe solved cold, with the face as an explicit row whose
     # right-hand side may be negative

@@ -236,9 +236,10 @@ def test_criterion_8_small_polytope_oracle():
             rows.append(sorted(rng.choice(n, size=deg, replace=False).tolist()))
         cons = build_constraints(TannerGraph(n, rows))
         vertices = vertices_by_qhull(cons)
-        for sense in ("max", "min"):
+        for sense, sign in (("max", -1.0), ("min", 1.0)):
             c = rng.normal(size=n)
-            value = simplex.solve(c, cons.a, cons.b, sense=sense).value
+            # a max is the negated min of -c.x
+            value = sign * simplex.solve(sign * c, cons.a, cons.b).value
             want = best_vertex_value(vertices, c, sense)
             assert abs(value - want) <= 1e-9, f"{sense}: {value} vs {want}"
         done += 1

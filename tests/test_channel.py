@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ def test_channel_params_validation():
         ChannelParams(-1.0)
     with pytest.raises(ValueError, match="sigma2 must be positive and finite, got True"):
         ChannelParams(True)  # a bool is no variance, as in a config file
+    # eta = sigma2 / 2 would round: to 0 at 5e-324, and to 2/3 sigma2 at
+    # 1.5e-323; sys.float_info.min halves exactly, but the next float up
+    # does not, so the bound is twice the least normal float
+    tiny = 2.0 * sys.float_info.min
+    for s2 in (5e-324, 1.5e-323, sys.float_info.min, math.nextafter(sys.float_info.min, 1.0),
+               math.nextafter(tiny, 0.0)):
+        with pytest.raises(ValueError, match=r"^sigma2 must be at least 2 \* sys.float_info.min "
+                                             r"= 4.450147717014403e-308, got "):
+            ChannelParams(s2)
+    assert ChannelParams(tiny).eta == sys.float_info.min
 
 
 def test_transmit_zero_noise_limit():
@@ -102,10 +113,10 @@ def test_trial_rng_rejects_fractions(args):
 
 
 def test_normalized_llr_is_identity():
-    params = ChannelParams(0.37)
     y = trial_rng(0, 0).standard_normal(100) + 1.0
-    lam = normalized_llr(y, params)
-    assert (lam == y).all()  # eta cancels the 2/sigma^2 factor exactly
+    for s2 in (0.37, 2.0 * sys.float_info.min, math.nextafter(2.0 * sys.float_info.min, 1.0)):
+        lam = normalized_llr(y, ChannelParams(s2))
+        assert (lam == y).all()  # eta cancels the 2/sigma^2 factor exactly
 
 
 def test_normalized_llr_noiseless_plus_one():

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,19 +136,20 @@ def test_parity_ok_matches_dense_syndrome(data):
 
 def test_lp_solve_examples(single_check):
     cons = build_constraints(single_check)
-    sol = simplex.solve(np.ones(3), cons.a, cons.b, sense="max")
-    assert sol.value == pytest.approx(2.0, abs=1e-9)
+    # the max of c.x is the negated min of -c.x
+    sol = simplex.solve(-np.ones(3), cons.a, cons.b)
+    assert -sol.value == pytest.approx(2.0, abs=1e-9)
     assert sorted(np.round(sol.x, 9).tolist()) in ([0.0, 1.0, 1.0],)
-    zero = simplex.solve(np.zeros(3), cons.a, cons.b, sense="max").value
+    zero = -simplex.solve(-np.zeros(3), cons.a, cons.b).value
     assert zero == 0.0
-    val = simplex.solve(np.array([1.0, -1.0, -1.0]), cons.a, cons.b, sense="max").value
+    val = -simplex.solve(-np.array([1.0, -1.0, -1.0]), cons.a, cons.b).value
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lp_solve_deterministic(single_check):
     cons = build_constraints(single_check)
-    a = simplex.solve(np.ones(3), cons.a, cons.b, sense="max").x
-    b = simplex.solve(np.ones(3), cons.a, cons.b, sense="max").x
+    a = simplex.solve(-np.ones(3), cons.a, cons.b).x
+    b = simplex.solve(-np.ones(3), cons.a, cons.b).x
     assert (a == b).all()
 
 
@@ -392,7 +394,7 @@ def test_runaway_probe_finishes_on_the_main_tableau(monkeypatch):
     lamp[[13, 14, 17, 23]] = -1.0
     outs, faces = [], []
     calls = recorded_solves(monkeypatch, lambda: outs.append(lp_decode(g, lamp)), faces)
-    ((c, a, b, _), main), = calls
+    ((c, a, b), main), = calls
     ((_, away, _), probe), = faces
     assert main.sharpness == 0.0 and not main.x.any()
     assert outs[0].status == "integral" and not outs[0].codeword.any()
@@ -426,8 +428,8 @@ def test_runaway_main_solves_take_the_hard_decision(monkeypatch, sigma2, seed, t
     assert x.any() and np.array_equal(outs[0].codeword, x)
     assert outs[0].stats["uniqueness"] == "hard_decision"
     cons = build_constraints(g)
-    with pytest.raises(simplex.IterationLimitError):
-        simplex.solve(lamp / np.abs(lamp).max(), cons.a, cons.b, max_iter=2000)
+    with mock.patch.object(simplex, "MAX_ITER", 2000), pytest.raises(simplex.IterationLimitError):
+        simplex.solve(lamp / np.abs(lamp).max(), cons.a, cons.b)
 
 
 def test_lp_decode_integral_nonzero(single_check):
@@ -500,7 +502,7 @@ def test_lp_optimum_matches_qhull_vertices():
         g = _random_polytope_graph(rng)
         cons = build_constraints(g)
         c = rng.normal(size=g.n)
-        value = simplex.solve(c, cons.a, cons.b, sense="max").value
+        value = -simplex.solve(-c, cons.a, cons.b).value
         want = best_vertex_value(vertices_by_qhull(cons), c, "max")
         assert value == pytest.approx(want, abs=1e-9)
 

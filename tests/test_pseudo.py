@@ -82,7 +82,7 @@ def test_alpha_matches_bisection_oracle():
         oracle = alpha_by_bisection(membership_by_rows, g, prof)
         assert alpha == pytest.approx(oracle, abs=1e-9)
         assert membership(g, alpha * prof)
-        assert not membership(g, (alpha + 1e-5) * prof, tol=1e-10)
+        assert not membership(g, (alpha + 1e-5) * prof)
 
 
 def _alpha_or_error(fn, g, prof):

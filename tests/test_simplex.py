@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,17 +35,18 @@ def test_textbook_max():
     # max 2x + 3y st x + y <= 100, 6x + 3y <= 360, x + 2y <= 120
     a = np.array([[1.0, 1], [6, 3], [1, 2]])
     b = np.array([100.0, 360, 120])
-    sol = solve(np.array([2.0, 3]), a, b, sense="max")
-    assert sol.value == pytest.approx(200.0, abs=1e-9)
+    sol = solve(-np.array([2.0, 3]), a, b)
+    assert -sol.value == pytest.approx(200.0, abs=1e-9)
     assert sol.x == pytest.approx([40.0, 40.0], abs=1e-9)
 
 
 def test_min_is_max_of_negated():
+    # the max by the reference's own two-phase solver
     a = np.array([[1.0, 2], [3, 1]])
     b = np.array([4.0, 6])
     c = np.array([1.0, -1])
-    lo = solve(c, a, b, sense="min")
-    hi = solve(-c, a, b, sense="max")
+    lo = solve(c, a, b)
+    hi = dense_solve(-c, a, b, sense="max")
     assert lo.value == pytest.approx(-hi.value, abs=1e-12)
     assert lo.sharpness == hi.sharpness > 0
 
@@ -55,9 +58,9 @@ def test_min_is_max_of_negated():
 ], ids=["lower-bound", "two-sided", "infeasible"])
 def test_negative_rhs_rejected(a, b):
     # the solve starts at the origin, which b < 0 cuts off, feasible LP or not
-    for sense in ("min", "max"):
+    for c in (1.0, -1.0):
         with pytest.raises(ValueError, match="^right-hand side must be >= 0, got -1$"):
-            solve(np.array([1.0]), np.array(a), np.array(b), sense=sense)
+            solve(np.array([c]), np.array(a), np.array(b))
 
 
 def test_minimize_on_face_walks_the_optimal_face():
@@ -81,9 +84,24 @@ def test_minimize_on_face_walks_the_optimal_face():
             minimize_on_face(sol, cost, eps)
 
 
+def test_minimize_on_face_obeys_the_pivot_cap():
+    # the one-pivot face solve above, with no pivot allowed
+    a = np.vstack([[1.0, 1.0], np.eye(2)])
+    sol = solve(np.array([-1.0, -1.0]), a, np.array([1.0, 1.0, 1.0]))
+    assert minimize_on_face(sol, np.array([1.0, -1.0]), 0.0).iterations == 1
+    with mock.patch.object(simplex, "MAX_ITER", 0), pytest.raises(
+            IterationLimitError, match="^no optimum within 0 pivots;"):
+        minimize_on_face(sol, np.array([1.0, -1.0]), 0.0)
+    # the pivot it needs is allowed, and staying put needs none
+    with mock.patch.object(simplex, "MAX_ITER", 1):
+        assert minimize_on_face(sol, np.array([1.0, -1.0]), 0.0).x.tolist() == [0.0, 1.0]
+    with mock.patch.object(simplex, "MAX_ITER", 0):
+        assert minimize_on_face(sol, np.array([-1.0, 1.0]), 0.25).iterations == 0
+
+
 def test_unbounded_detected():
     with pytest.raises(UnboundedError):
-        solve(np.array([1.0]), np.array([[-1.0]]), np.array([0.0]), sense="max")
+        solve(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]))
 
 
 def test_beale_cycling_instance_terminates():
@@ -96,7 +114,7 @@ def test_beale_cycling_instance_terminates():
     ])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-0.75, 150.0, -0.02, 6.0])
-    sol = solve(c, a, b, sense="min")
+    sol = solve(c, a, b)
     assert sol.value == pytest.approx(-0.05, abs=1e-12)
 
 
@@ -111,8 +129,8 @@ def test_sharpness_is_zero_on_exact_ties_and_positive_on_unique_optima():
 def test_iteration_cap_raises():
     a = np.array([[1.0, 1], [6, 3], [1, 2]])
     b = np.array([100.0, 360, 120])
-    with pytest.raises(IterationLimitError):
-        solve(np.array([2.0, 3]), a, b, sense="max", max_iter=1)
+    with mock.patch.object(simplex, "MAX_ITER", 1), pytest.raises(IterationLimitError):
+        solve(-np.array([2.0, 3]), a, b)
 
 
 def test_deterministic_pivoting():
@@ -120,8 +138,8 @@ def test_deterministic_pivoting():
     a = rng.normal(size=(6, 4))
     b = np.abs(rng.normal(size=6)) + 0.5
     c = rng.normal(size=4)
-    first = solve(c, a, b, sense="min")
-    second = solve(c, a, b, sense="min")
+    first = solve(c, a, b)
+    second = solve(c, a, b)
     assert (first.x == second.x).all()
     assert first.basis.tolist() == second.basis.tolist()
 
@@ -164,14 +182,14 @@ def test_matches_vertex_enumeration_on_random_boxes():
             if (full_a @ v <= full_b + 1e-9).all():
                 verts.append(v)
         want = best_vertex_value(np.array(verts), c, "max")
-        sol = solve(c, a, b, sense="max")
-        assert sol.value == pytest.approx(want, abs=1e-9)
+        sol = solve(-c, a, b)
+        assert -sol.value == pytest.approx(want, abs=1e-9)
 
 
 def test_solution_is_basic_feasible():
     a = np.array([[1.0, 1, 1], [1, -1, 0]])
     b = np.array([2.0, 0.5])
-    sol = solve(np.array([1.0, 1, 0.2]), a, b, sense="max")
+    sol = solve(-np.array([1.0, 1, 0.2]), a, b)
     assert (a @ sol.x <= b + 1e-9).all()
     assert (sol.x >= -1e-12).all()
     # a vertex of {Ax<=b, x>=0} in R^3 has at least 3 tight constraints
@@ -179,9 +197,20 @@ def test_solution_is_basic_feasible():
     assert tight >= 3
 
 
-def _outcome(c, a, b, sense, max_iter=MAX_ITER, solver=solve):
+def _outcome(c, a, b, sense="min", cap=MAX_ITER):
+    """``solve``'s optimum of ``sense`` c.x within ``cap`` pivots, a max as
+    the min of -c.x with its value negated, or the SimplexError it raises."""
     try:
-        return solver(c, a, b, sense=sense, max_iter=max_iter)
+        with mock.patch.object(simplex, "MAX_ITER", cap):
+            sol = solve(c if sense == "min" else -c, a, b)
+    except SimplexError as exc:
+        return type(exc)
+    return sol if sense == "min" else dataclasses.replace(sol, value=-sol.value)
+
+
+def _dense_outcome(c, a, b, sense="min", max_iter=MAX_ITER):
+    try:
+        return dense_solve(c, a, b, sense=sense, max_iter=max_iter)
     except SimplexError as exc:
         return type(exc)
 
@@ -205,17 +234,17 @@ def _decode_lp(g, lamp):
     cons = build_constraints(g)
     scale = np.abs(lamp).max()
     cn = lamp / scale if scale > 0 else lamp.copy()
-    lp = (cn, cons.a, cons.b, "min")
+    lp = (cn, cons.a, cons.b)
     with pytest.MonkeyPatch.context() as mp:
         calls = recorded_solves(mp, lambda: lp_decode(g, lamp))
     if calls:
-        (c, a, b, sense), _ = calls[0]
-        assert np.array_equal(c, cn) and a is cons.a and b is cons.b and sense == "min"
+        (c, a, b), _ = calls[0]
+        assert np.array_equal(c, cn) and a is cons.a and b is cons.b
     return lp
 
 
 def _recorded_lps(g, lamp):
-    """(c, a, b, sense) of the decode LP, built even when ``lp_decode``
+    """(c, a, b) of the decode LP, built even when ``lp_decode``
     skips it, then of every solve ``witness_search`` makes on ``lamp``. The
     decode LP's tie probe continues its solve: ``_away`` on the optimum,
     over the optimal face."""
@@ -270,14 +299,14 @@ def _random_lp(kind, m, n, seed, boxed):
 def test_pivot_matches_dense_reference_on_random_lps(kind, m, n, seed, boxed, sense, max_iter):
     c, a, b = _random_lp(kind, m, n, seed, boxed)
     got = _outcome(c, a, b, sense, max_iter)
-    want = _outcome(c, a, b, sense, max_iter, solver=dense_solve)
+    want = _dense_outcome(c, a, b, sense, max_iter)
     _assert_same_path(got, want)
     if isinstance(got, type):
         return
     # continued over the optimal face, which may be unbounded
     d = np.random.default_rng(seed).choice([-1.0, 1.0], size=n)
     _assert_same_path(_face_outcome(minimize_on_face, got, d, 1e-3),
-                      _face_outcome(dense_minimize_on_face, (c, a, b, sense), d, 1e-3))
+                      _face_outcome(dense_minimize_on_face, (c, a, b), d, 1e-3, sense))
 
 
 def test_kernels_match_dense_reference_on_random_tableaus():
@@ -379,15 +408,14 @@ def test_recorded_decode_and_witness_lps_match_dense_reference(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lamp = spec.apply(rng.normal(1.0, data.draw(st.sampled_from([0.3, 0.8, 1.5])), size=g.n))
     lps = _recorded_lps(g, lamp)
-    for c, a, b, sense in lps:
-        _assert_same_path(_outcome(c, a, b, sense),
-                          _outcome(c, a, b, sense, solver=dense_solve))
+    for lp in lps:
+        _assert_same_path(_outcome(*lp), _dense_outcome(*lp))
     sol = solve(*lps[0])
     _assert_same_path(minimize_on_face(sol, _away(sol), TIE_FACE_EPS),
                       dense_minimize_on_face(lps[0], _away(sol), TIE_FACE_EPS))
 
 
-def _highs_outcome(c, a, b, sense):
+def _highs_outcome(c, a, b, sense="min"):
     """("optimal", value), ("infeasible", None) or ("unbounded", None) from
     HiGHS dual simplex, which shares no code with ``simplex.solve``."""
     from scipy.optimize import linprog
@@ -399,7 +427,7 @@ def _highs_outcome(c, a, b, sense):
     return kind, sign * res.fun if kind == "optimal" else None
 
 
-def _assert_matches_highs(c, a, b, sense):
+def _assert_matches_highs(c, a, b, sense="min"):
     got = _outcome(c, a, b, sense)
     kind, value = _highs_outcome(c, a, b, sense)
     if isinstance(got, type):
@@ -413,9 +441,9 @@ def _assert_probe_matches_highs(lp):
     """The tie probe of decode LP ``lp``, continued as ``lp_decode`` runs
     it, reaches the optimum that HiGHS finds on the explicit face LP: the
     rows of ``lp`` plus c.x <= c.x* + TIE_FACE_EPS."""
-    c, a, b, _ = lp
+    c, a, b = lp
     sol = solve(*lp)
-    face = (_away(sol), np.vstack([a, c]), np.append(b, c @ sol.x + TIE_FACE_EPS), "min")
+    face = (_away(sol), np.vstack([a, c]), np.append(b, c @ sol.x + TIE_FACE_EPS))
     kind, value = _highs_outcome(*face)
     assert kind == "optimal"
     got = minimize_on_face(sol, face[0], TIE_FACE_EPS).value

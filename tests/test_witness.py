@@ -614,7 +614,7 @@ def test_witness_lp_matches_loop_assembly(monkeypatch, g):
     if not core:
         assert calls == []
         return
-    ((c, a, b, _), sol), = calls
+    ((c, a, b), sol), = calls
     # The reference form of the subgraph the core induces, under the cap of
     # the whole vector: a cap row, then s+ and s- as the last two columns.
     rank = {i: r for r, i in enumerate(core)}
@@ -623,15 +623,16 @@ def test_witness_lp_matches_loop_assembly(monkeypatch, g):
     want_b[-1] = np.abs(lamp).max()
     # The solved LP drops the cap row and s-, and shifts b by L = min llr_R:
     # |R| rows, |E_R| + 1 columns, and b >= 0 with min 0, so no phase 1.
+    # It minimizes -t: the negated cost, with +0.0 zeros.
     rows, cols = len(core), want_a.shape[1] - 1
     low = lamp[core].min()
     assert a.shape == (rows, cols) and a.tobytes() == want_a[:rows, :cols].tobytes()
-    assert c.tobytes() == want_c[:cols].tobytes()
+    assert c.tobytes() == (0.0 - want_c[:cols]).tobytes()
     assert b.tobytes() == (want_b[:rows] - low).tobytes()
     assert b.min() == 0.0
     want = dense_solve(want_c, want_a, want_b, sense="max").value  # b < 0: phase 1
-    assert abs(low + sol.value - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
-    assert witness_search(g, lamp) == low + sol.value
+    assert abs(low - sol.value - want) <= 1e-9 * max(1.0, np.abs(lamp).max())
+    assert witness_search(g, lamp) == low - sol.value
 
 
 @pytest.mark.parametrize("lamp", [
@@ -675,7 +676,7 @@ def test_witness_search_matches_pairwise_lp(data):
     core_edges = [(i, j) for i, j in g.edges() if i in core]
     x = np.zeros(len(core_edges))
     if core:
-        ((_, a, b, _), sol), = calls
+        ((_, a, b), sol), = calls
         assert a.shape == (len(core), len(core_edges) + 1)
         assert b.min() == 0.0
         x = sol.x
@@ -701,7 +702,7 @@ def test_witness_search_matches_highs_at_high_noise(sigma2):
         lamp = awgn_llr(g, math.sqrt(sigma2), seed=1, trial=trial, map_spec=THRESHOLD1)
         with pytest.MonkeyPatch.context() as mp:
             calls = recorded_solves(mp, lambda: witness_search(g, lamp))
-        ((_, a, b, _), _), = calls
+        ((_, a, b), _), = calls
         assert a.shape == (g.n, g.num_edges + 1) and b.min() == 0.0
         s_star = witness_search(g, lamp)
         c, a, b = witness_lp_by_loops(g, lamp)
