@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,8 @@ class ChannelParams:
     sigma2: float
 
     def __post_init__(self):
-        import sys
-
-        if isinstance(self.sigma2, bool) or not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+        if (isinstance(self.sigma2, (bool, np.bool_))
+                or not (math.isfinite(self.sigma2) and self.sigma2 > 0)):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         # eta = sigma2 / 2 is exact, as normalized_llr needs, once it is normal
         if self.sigma2 < 2.0 * sys.float_info.min:
@@ -68,7 +68,7 @@ class MapSpec:
             if self.param is not None:
                 raise ValueError("trivial map takes no parameter")
         else:
-            if (self.param is None or isinstance(self.param, bool)
+            if (self.param is None or isinstance(self.param, (bool, np.bool_))
                     or not (math.isfinite(self.param) and self.param > 0)):
                 raise ValueError(f"{self.kind} map needs a positive finite parameter")
 

@@ -254,39 +254,48 @@ class CellResult:
     stderr: float
 
 
+def _trial_cells(config, g, cells):
+    """The paired Monte Carlo loop of ``sim wer`` and ``sim witness-rate``.
+
+    Per trial t, draws the transmitted word x once (the all-zeros word, or
+    under random_codeword a uniformly random codeword from a null-space basis
+    on substream 1) and the unit-variance noise z once (substream 0). Then,
+    per cell index k in order, with cells[k] = (spec, params), yields
+    ``(x, k, lamp)``: lamp is spec's map of the normalized LLRs of
+    bpsk(x) + params.sigma * z. So every cell of a trial decodes the same word
+    under the same noise, and trial t is drawn only when the consumer asks for
+    the cell after trial t - 1's last.
+    """
+    basis = gf2.nullspace_basis(g.parity_check_matrix()) if config.random_codeword else None
+    draw_word = basis is not None and basis.shape[0] > 0
+    x = np.zeros(g.n, dtype=np.uint8)
+    for t in range(config.trials):
+        if draw_word:
+            x = (trial_rng(config.seed, t, stream=1).integers(0, 2, basis.shape[0]) @ basis) % 2
+        if draw_word or t == 0:  # a fixed word is mapped to its signal once
+            xbar = bpsk(x)
+        z = trial_noise(config.seed, t, g.n)
+        for k, (spec, params) in enumerate(cells):
+            yield x, k, apply_map(spec, normalized_llr(xbar + params.sigma * z, params))
+
+
 def run_wer(config):
     """Word-error-rate table over the (map, sigma2) grid.
 
-    Transmits the all-zeros codeword unless random_codeword is set, in which
-    case a uniformly random codeword is drawn per trial from a null-space
-    basis (substream 1; the noise uses substream 0). Each trial draws its
-    codeword and its unit-variance noise once, and every (map, sigma2) cell
-    decodes that same word under that same noise, scaled by its sigma; rows
-    come out in (map, sigma2) order. A trial fails when the decoder does not
-    return the transmitted codeword; integral-mismatch, fractional and tie
-    outcomes are tallied separately.
+    Trials and noise come from the loop shared with run_witness_rate (see
+    _trial_cells); rows come out in (map, sigma2) order. A trial fails when
+    the decoder does not return the transmitted codeword; integral-mismatch,
+    fractional and tie outcomes are tallied separately.
     """
     g = config.graph.load()
-    basis = None
-    if config.random_codeword:
-        basis = gf2.nullspace_basis(g.parity_check_matrix())
     cells = [(spec, ChannelParams(s2)) for spec in config.maps for s2 in config.sigma2]
     tallies = [dict.fromkeys(("mismatch", "fractional", "tie"), 0) for _ in cells]
-    zeros = np.zeros(g.n, dtype=np.uint8)
-    for t in range(config.trials):
-        if basis is not None and basis.shape[0] > 0:
-            msg = trial_rng(config.seed, t, stream=1).integers(0, 2, basis.shape[0])
-            x = (msg @ basis) % 2
-        else:
-            x = zeros
-        xbar, z = bpsk(x), trial_noise(config.seed, t, g.n)
-        for (spec, params), tally in zip(cells, tallies):
-            y = xbar + params.sigma * z
-            out = lp_decode(g, apply_map(spec, normalized_llr(y, params)))
-            if out.status in ("tie", "fractional"):
-                tally[out.status] += 1
-            elif (out.codeword != x).any():
-                tally["mismatch"] += 1
+    for x, k, lamp in _trial_cells(config, g, cells):
+        out = lp_decode(g, lamp)
+        if out.status in ("tie", "fractional"):
+            tallies[k][out.status] += 1
+        elif (out.codeword != x).any():
+            tallies[k]["mismatch"] += 1
     results = []
     for (spec, params), tally in zip(cells, tallies):
         failures = sum(tally.values())
@@ -369,8 +378,8 @@ class WitnessRateRow:
 def run_witness_rate(config):
     """Compare the exact witness LP, the constructive pipeline, and the decoder.
 
-    Each trial draws its unit-variance noise once, and every sigma2 cell
-    scales that same draw by its sigma; rows come out in sigma2 order. Per
+    The all-zeros word is sent; trials and noise come from the loop shared
+    with run_wer (see _trial_cells), and rows come out in sigma2 order. Per
     trial and cell: high-noise set, boundary set, matching search,
     constructed weights and their feasibility check, the witness LP, and the
     LP decoder.
@@ -395,42 +404,39 @@ def run_witness_rate(config):
     if proof.verify_smax is not None:
         verdict = check_expansion(g, params.delta_dv, proof.verify_smax)
         expansion = "verified" if verdict.ok else "assumed"
-    zeros_bar = bpsk(np.zeros(g.n, dtype=np.uint8))
     an = params.alpha_exp * g.n if expansion == "verified" else None
 
-    cells = [ChannelParams(s2) for s2 in config.sigma2]
+    cells = [(spec, ChannelParams(s2)) for s2 in config.sigma2]
     tallies = [dict.fromkeys(("witness_positive", "constructive_ok", "lp_success",
                               "agreement_checked", "agreement", "dead_band",
                               "size_bound_violations"), 0) for _ in cells]
-    for t in range(config.trials):
-        z = trial_noise(config.seed, t, g.n)
-        for ch, tally in zip(cells, tallies):
-            lamp = apply_map(spec, normalized_llr(zeros_bar + ch.sigma * z, ch))
-            u = high_noise_set(lamp)
-            udot = boundary_set(g, u, params)
-            owner = find_delta_matching(g, u, udot, params)
-            built_ok = False
-            if owner is not None:
-                tau = weights_from_matching(g, owner, u, params)
-                built_ok = check_feasible(g, tau, lamp).ok
-            s_star = witness_search(g, lamp)
-            out = lp_decode(g, lamp)
-            success = out.is_zero_codeword()
-            tally["witness_positive"] += s_star > 0
-            tally["constructive_ok"] += built_ok
-            tally["lp_success"] += success
-            if abs(s_star) > DEAD_BAND:
-                tally["agreement_checked"] += 1
-                tally["agreement"] += (s_star > 0) == success
-            else:
-                tally["dead_band"] += 1
-            if an is not None:
-                size_u = int(np.count_nonzero(u))  # Python ints keep the count a Python int
-                if size_u <= params.matching_cap(g.n):
-                    tally["size_bound_violations"] += (
-                        size_u + int(np.count_nonzero(udot)) > an + 1e-9)
+    for _, k, lamp in _trial_cells(config, g, cells):
+        tally = tallies[k]
+        u = high_noise_set(lamp)
+        udot = boundary_set(g, u, params)
+        owner = find_delta_matching(g, u, udot, params)
+        built_ok = False
+        if owner is not None:
+            tau = weights_from_matching(g, owner, u, params)
+            built_ok = check_feasible(g, tau, lamp).ok
+        s_star = witness_search(g, lamp)
+        out = lp_decode(g, lamp)
+        success = out.is_zero_codeword()
+        tally["witness_positive"] += s_star > 0
+        tally["constructive_ok"] += built_ok
+        tally["lp_success"] += success
+        if abs(s_star) > DEAD_BAND:
+            tally["agreement_checked"] += 1
+            tally["agreement"] += (s_star > 0) == success
+        else:
+            tally["dead_band"] += 1
+        if an is not None:
+            size_u = int(np.count_nonzero(u))  # Python ints keep the count a Python int
+            if size_u <= params.matching_cap(g.n):
+                tally["size_bound_violations"] += (
+                    size_u + int(np.count_nonzero(udot)) > an + 1e-9)
     return [WitnessRateRow(sigma2=ch.sigma2, trials=config.trials, expansion=expansion, **tally)
-            for ch, tally in zip(cells, tallies)]
+            for (_, ch), tally in zip(cells, tallies)]
 
 
 def emit_csv(results, path, row_type=None):

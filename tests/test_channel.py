@@ -48,8 +48,9 @@ def test_channel_params_validation():
         ChannelParams(0.0)
     with pytest.raises(ValueError):
         ChannelParams(-1.0)
-    with pytest.raises(ValueError, match="sigma2 must be positive and finite, got True"):
-        ChannelParams(True)  # a bool is no variance, as in a config file
+    for flag in (True, np.True_, np.False_):  # a bool is no variance, as in a config file
+        with pytest.raises(ValueError, match=f"sigma2 must be positive and finite, got {flag}"):
+            ChannelParams(flag)
     # eta = sigma2 / 2 would round: to 0 at 5e-324, and to 2/3 sigma2 at
     # 1.5e-323; sys.float_info.min halves exactly, but the next float up
     # does not, so the bound is twice the least normal float
@@ -133,8 +134,9 @@ def test_map_parse_and_str():
         with pytest.raises(ValueError):
             MapSpec.parse(bad)
     for kind in ("threshold", "quantize2"):
-        with pytest.raises(ValueError, match=f"{kind} map needs a positive finite parameter"):
-            MapSpec(kind, True)
+        for flag in (True, np.True_, np.False_):
+            with pytest.raises(ValueError, match=f"{kind} map needs a positive finite parameter"):
+                MapSpec(kind, flag)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -490,6 +490,27 @@ def test_drivers_draw_each_trials_noise_and_codeword_once(csv_dir, monkeypatch):
     assert draws == {(0, t): 1 for t in range(3)}
 
 
+def test_wer_and_witness_rate_decode_the_same_threshold_llrs(csv_dir, monkeypatch):
+    # for the all-zeros word, the same seed and the same sigma2, a threshold:W
+    # cell of either mode hands the decoder the same channel outputs
+    seen = []
+    real = simcli.lp_decode
+
+    def recording(g, lam, *args, **kwargs):
+        seen.append((lam.dtype.str, lam.shape, lam.tobytes()))
+        return real(g, lam, *args, **kwargs)
+
+    monkeypatch.setattr(simcli, "lp_decode", recording)
+    grid = {"graph": {"path": str(csv_dir / "verified.alist")}, "maps": ["threshold:1.0"],
+            "sigma2": [0.0625, 0.25, 1.0], "trials": 4, "seed": 5}
+    run_wer(ExperimentConfig.from_json(grid, mode="wer"))
+    wer_inputs = seen[:]
+    seen.clear()
+    run_witness_rate(ExperimentConfig.from_json({**grid, "proof": {"w": 1.0}}, mode="witness-rate"))
+    assert len(wer_inputs) == 12 and len(set(wer_inputs)) == 12
+    assert seen == wer_inputs
+
+
 def test_run_wer_monotone_in_noise():
     cells = run_wer(wer_config(sigma2=[0.3, 0.7, 1.4], trials=150))
     for low, high in zip(cells, cells[1:]):
