@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def _index(value):
+    """``operator.index(value)``, with a bool refused by the TypeError that a
+    float gets: True is no count, seed or index."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"'{type(value).__name__}' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Per-dimension AWGN noise variance; ``eta`` is the LLR normalizer."""
@@ -131,7 +139,7 @@ def trial_rng(seed, trial, stream=0):
     independent of the order in which trials execute. ``stream`` separates
     different random uses inside the same trial.
     """
-    seed, trial, stream = operator.index(seed), operator.index(trial), operator.index(stream)
+    seed, trial, stream = _index(seed), _index(trial), _index(stream)
     if seed < 0 or trial < 0 or stream < 0:
         raise ValueError("seed, trial and stream must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream)))

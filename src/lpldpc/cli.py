@@ -75,7 +75,7 @@ def _cmd_pseudo(args):
     print("omega " + " ".join(repr(float(v)) for v in pcw.omega))
     print(f"alpha_max {alpha!r}")
     print(f"pseudoweight {wp!r}")
-    d_v, d_c = g.regular_degrees()
+    d_v, d_c = g.regular_var_degree, g.regular_check_degree
     if 3 <= d_v < d_c:
         print(f"bound {pseudoweight_bound(d_v, d_c, g.n).bound!r}")
     else:
@@ -91,12 +91,11 @@ def _cmd_witness(args):
     print(f"s_star {s_star!r}")
     print(f"core {np.count_nonzero(stopping_core(g))} of {g.n} variables")
     print("U " + (" ".join(map(str, np.flatnonzero(u).tolist())) or "(empty)"))
-    vd = g.var_degrees
-    if vd.min() != vd.max():
+    if g.regular_var_degree is None:
         print("proof parameters n/a (graph is not variable-regular)")
         return 0
     try:
-        params = derive_params(args.w, int(vd[0]), args.delta_hat)
+        params = derive_params(args.w, g.regular_var_degree, args.delta_hat)
     except ParameterError as exc:
         print(f"proof parameters n/a ({exc})")
         return 0

@@ -95,8 +95,8 @@ def _odd_subset_rows(g, w):
     ``w[check_indices.reshape(m, d)]``, with no grouping by degree.
     """
     degs = g.check_degrees
-    d = int(degs.max())
-    if d * g.m == g.num_edges:  # every degree is d
+    d = g.regular_check_degree
+    if d is not None:
         groups = [(np.arange(g.m), g.check_indices.reshape(g.m, d))] if d else []
     else:
         groups = []

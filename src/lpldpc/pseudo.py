@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import qfunc
+from .channel import _index, qfunc
 from .lpdec import _odd_subset_gaps, _odd_subset_rows, _within_polytope
 from .tanner import bfs_tiers
 
@@ -47,10 +47,9 @@ class PseudoCodeword:
 
 def canonical_profile(g, tiers):
     """Unscaled tier-decay profile: (d_c - 1)^(-t) at tier 2t, root gets 1."""
-    reg = g.regular_degrees()
-    if reg is None:
+    d_c = g.regular_check_degree
+    if g.regular_var_degree is None or d_c is None:
         raise ValueError("tier profile requires a degree-regular graph")
-    _, d_c = reg
     if d_c < 3:
         raise ValueError("tier profile requires check degree >= 3")
     t = (tiers.var_tier // 2).astype(float)
@@ -136,8 +135,11 @@ def pseudoweight_bound(d_v, d_c, n):
     """Growth bound beta' * n^beta on the pseudo-weight of a tier completion.
 
     beta = log((d_v-1)^2) / log((d_v-1)(d_c-1)) < 1,
-    beta' = (d_v (d_v - 1) / (d_v - 2))^2; requires 3 <= d_v < d_c.
+    beta' = (d_v (d_v - 1) / (d_v - 2))^2; requires 3 <= d_v < d_c. The
+    degrees are read with ``operator.index``, so a float or a bool is a
+    TypeError.
     """
+    d_v, d_c = _index(d_v), _index(d_c)
     if not 3 <= d_v < d_c:
         raise ValueError(f"requires 3 <= d_v < d_c, got ({d_v}, {d_c})")
     beta = math.log((d_v - 1) ** 2) / math.log((d_v - 1) * (d_c - 1))

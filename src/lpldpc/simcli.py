@@ -104,6 +104,10 @@ class ScanSpec:
                     f"scan n={n} does not fit dv={self.dv}, dc={self.dc}: a simple regular "
                     "graph needs n*dv divisible by dc and dc <= n"
                 )
+        if self.roots_per_graph > min(self.n_values):
+            raise ValueError(f"scan: 'roots_per_graph' = {self.roots_per_graph} exceeds the "
+                             f"smallest n = {min(self.n_values)}; each graph's roots are distinct "
+                             "variables")
 
 
 @dataclass(frozen=True)
@@ -335,7 +339,7 @@ def run_pseudo_scan(config):
         bound = pseudoweight_bound(sc.dv, sc.dc, n).bound
         for gi in range(sc.graphs_per_n):
             rng = trial_rng(config.seed, ni * MAX_GRAPHS_PER_N + gi, stream=2)
-            picks = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
+            picks = rng.choice(n, size=sc.roots_per_graph, replace=False)
             roots = sorted(int(r) for r in picks)
             for attempt in range(50):
                 gseed = int(np.random.SeedSequence(
@@ -389,10 +393,9 @@ def run_witness_rate(config):
     the matching cap also checks |U| + |boundary| <= alpha*n.
     """
     g = config.graph.load()
-    vd = g.var_degrees
-    if vd.min() != vd.max():
+    d_v = g.regular_var_degree
+    if d_v is None:
         raise ValueError("witness-rate needs a variable-regular graph")
-    d_v = int(vd[0])
     proof = config.proof or ProofSpec()
     spec = config.maps[0]
     if proof.verify_smax is not None and proof.verify_smax >= g.n:

@@ -7,10 +7,11 @@ Variable and check indices are 0-based everywhere in memory; alist files are
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import _index
 
 __all__ = [
     "TannerGraph",
@@ -55,6 +56,16 @@ class DisconnectedGraphError(ValueError):
         super().__init__("graph is disconnected; unreachable nodes: " + ", ".join(names))
 
 
+def _shared_degree(degrees, num_edges):
+    """The degree of every node of a side, or None when the degrees differ.
+
+    No degree exceeds the side's maximum d, so d times the node count equals
+    the edge total only when every degree is d.
+    """
+    d = int(degrees.max())
+    return d if d * degrees.size == num_edges else None
+
+
 def _rows(indptr, indices):
     """CSR rows as a tuple of tuples."""
     flat, ptr = indices.tolist(), indptr.tolist()
@@ -71,9 +82,11 @@ class TannerGraph:
     Next to them sit the read-only int64 arrays ``var_degrees``,
     ``check_degrees`` and ``edge_var``, the variable of each edge in
     ``edges()`` order: edge k joins variable ``edge_var[k]`` and check
-    ``var_indices[k]``. ``check_nbrs`` and ``var_nbrs`` are tuple views built
-    from these arrays on each access. Parallel edges are rejected. Instances
-    are safe to share across threads.
+    ``var_indices[k]``. ``regular_var_degree`` and ``regular_check_degree``
+    hold the degree that every node of that side shares, or None when the
+    side's degrees differ; a graph with no edges reads (0, 0). ``check_nbrs``
+    and ``var_nbrs`` are tuple views built from these arrays on each access.
+    Parallel edges are rejected. Instances are safe to share across threads.
 
     Hash and equality read one key, stored with the arrays: ``n`` and the
     bytes of ``check_indptr`` and ``check_indices``. Two graphs are equal
@@ -84,10 +97,11 @@ class TannerGraph:
     """
 
     __slots__ = ("n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices",
-                 "var_degrees", "check_degrees", "edge_var", "_key")
+                 "var_degrees", "check_degrees", "regular_var_degree", "regular_check_degree",
+                 "edge_var", "_key")
 
     def __init__(self, n, check_nbrs):
-        n = operator.index(n)
+        n = _index(n)
         if n < 1:
             raise ValueError("need at least one variable node")
         rows = []
@@ -95,7 +109,7 @@ class TannerGraph:
             rows.append({})  # an ordered set: the row's variables in their given order
             for x in row:
                 try:
-                    i = operator.index(x)
+                    i = _index(x)
                 except TypeError:
                     raise ValueError(f"check {j}: variable index {x!r} is not an integer") from None
                 if not 0 <= i < n:
@@ -111,7 +125,8 @@ class TannerGraph:
 
     def _set_csr(self, n, check_indptr, var_of):
         """Store fresh int64 check-side CSR arrays of a simple graph, whose
-        indices lie in [0, n), and their transpose; returns self."""
+        indices lie in [0, n), their transpose and each side's degrees;
+        returns self."""
         m = check_indptr.size - 1
         check_degrees = np.diff(check_indptr)
         check_of = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
@@ -127,6 +142,8 @@ class TannerGraph:
         self.check_indptr, self.check_indices = check_indptr, var_of
         self.var_indptr, self.var_indices = var_indptr, var_check
         self.var_degrees, self.check_degrees = var_degrees, check_degrees
+        self.regular_var_degree = _shared_degree(var_degrees, var_of.size)
+        self.regular_check_degree = _shared_degree(check_degrees, var_of.size)
         self.edge_var = var_sorted
         self._key = (n, check_indptr.tobytes(), var_of.tobytes())
         for arr in (check_indptr, var_of, var_indptr, var_check,
@@ -156,15 +173,6 @@ class TannerGraph:
     @property
     def num_edges(self):
         return int(self.check_indices.size)
-
-    def regular_degrees(self):
-        """(d_v, d_c) when both sides have uniform degree, else None."""
-        d_v, d_c = int(self.var_degrees.max()), int(self.check_degrees.max())
-        # no degree exceeds its side's maximum, so the totals equal only
-        # when every degree does
-        if d_v * self.n == d_c * self.m == self.num_edges:
-            return d_v, d_c
-        return None
 
     def edges(self):
         """All (variable, check) pairs, variable-major, deterministic order."""
@@ -302,7 +310,7 @@ def generate_regular(n, d_v, d_c, seed):
     lists a check twice. So a fixed seed fixes the graph. The accepted
     sample becomes CSR arrays, with no lists.
     """
-    n, d_v, d_c = operator.index(n), operator.index(d_v), operator.index(d_c)
+    n, d_v, d_c = _index(n), _index(d_v), _index(d_c)
     if d_v < 1 or d_c < 2:
         raise ValueError("need d_v >= 1 and d_c >= 2")
     if (n * d_v) % d_c != 0:
@@ -354,12 +362,11 @@ def _csr_gather(indptr, indices, nodes):
     return indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
 
 
-def _row_gather(indptr, indices, degrees):
+def _row_gather(indptr, indices, d):
     """A function of a node array that returns the nodes' CSR rows, in any
-    shape: one fancy index into ``indices`` viewed as rows when every node of
-    the side has the same positive degree, ``_csr_gather`` otherwise."""
-    d = int(degrees.max())
-    if d > 0 and d * degrees.size == indices.size:  # every degree is d
+    shape: one fancy index into ``indices`` viewed as rows when ``d``, the
+    side's regular degree or None, is positive, ``_csr_gather`` otherwise."""
+    if d:
         rows = indices.reshape(-1, d)
         return lambda nodes: rows.take(nodes, axis=0)
     return lambda nodes: _csr_gather(indptr, indices, nodes)
@@ -368,21 +375,22 @@ def _row_gather(indptr, indices, degrees):
 def bfs_tiers(g, root):
     """Tier ordering of all nodes by distance from variable node ``root``.
 
-    ``root`` is read with ``operator.index``, so a float is a TypeError.
+    ``root`` is read with ``operator.index``, so a float or a bool is a
+    TypeError.
     Level-synchronous: tier t + 1 is the set of unseen neighbours of the
     nodes at tier t, on alternating sides. Each side gathers a tier's
     neighbours with ``_row_gather``, one fancy index per tier when the side
     is degree-regular. The next frontier is the reached list itself with
     repeats removed, so a tier costs time in its own size, not in n + m.
     """
-    root = operator.index(root)
+    root = _index(root)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range [0, {g.n})")
     var_tier = np.full(g.n, -1, dtype=np.int64)
     check_tier = np.full(g.m, -1, dtype=np.int64)
     var_tier[root] = 0
-    sides = ((_row_gather(g.var_indptr, g.var_indices, g.var_degrees), check_tier),
-             (_row_gather(g.check_indptr, g.check_indices, g.check_degrees), var_tier))
+    sides = ((_row_gather(g.var_indptr, g.var_indices, g.regular_var_degree), check_tier),
+             (_row_gather(g.check_indptr, g.check_indices, g.regular_check_degree), var_tier))
     slot = np.empty(max(g.n, g.m), dtype=np.int64)
     frontier, tier, labelled = np.array([root], dtype=np.int64), 0, 1
     while frontier.size:

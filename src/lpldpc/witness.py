@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import statistics
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import simplex
-from .channel import qfunc
+from .channel import _index, qfunc
 from .lpdec import _llr_vector
 
 __all__ = [
@@ -115,8 +114,10 @@ def derive_params(w, d_v, delta_hat=None, alpha_exp=None, kappa=None):
     delta * d_v integral. Every inequality is checked and named on failure;
     ``ProofParams`` defaults and checks ``kappa``.
     """
+    if isinstance(w, (bool, np.bool_)):
+        raise ParameterError(f"w must be a number, got {w!r}")
     w = float(w)
-    d_v = operator.index(d_v)
+    d_v = _index(d_v)
     if not w >= 1:
         raise ParameterError(f"w >= 1 required, got {w}")
     floor_dv = 4 * (4 * w + 2)
@@ -175,7 +176,7 @@ def _require_mask(g, mask, name):
 def boundary_set(g, u, params):
     """Mask of the variables outside the mask ``u`` whose checks overlap N(U)
     in more than (1 - delta') d_v places."""
-    if (g.var_degrees != params.d_v).any():
+    if g.regular_var_degree != params.d_v:
         raise ValueError(f"graph must have uniform variable degree {params.d_v}")
     u = _require_mask(g, u, "U")
     near = np.zeros(g.m, dtype=bool)  # N(U)
@@ -202,7 +203,7 @@ def check_expansion(g, beta_exp, s_max):
     """
     if math.isnan(beta_exp):
         raise ValueError("beta_exp must be a number, got nan")
-    s_max = operator.index(s_max)
+    s_max = _index(s_max)
     if s_max < 1 or s_max > g.n:
         raise ValueError(f"s_max must lie in 1..{g.n}")
     total = sum(math.comb(g.n, s) for s in range(1, s_max + 1))

@@ -647,7 +647,7 @@ def pseudo_scan_by_connectivity_bfs(config):
             else:
                 raise RuntimeError(f"no connected ({sc.dv}, {sc.dc})-regular graph found at n={n}")
             rng = trial_rng(config.seed, ni * 10_000 + gi, stream=2)
-            roots = rng.choice(n, size=min(sc.roots_per_graph, n), replace=False)
+            roots = rng.choice(n, size=sc.roots_per_graph, replace=False)
             for root in sorted(int(r) for r in roots):
                 pcw, alpha = canonical_completion(g, root)
                 rows.append(ScanRow(n=n, dv=sc.dv, dc=sc.dc, graph_seed=gseed, root=root,

@@ -9,15 +9,23 @@ from hypothesis import strategies as st
 from lpldpc import (
     ChannelParams,
     MapSpec,
+    TannerGraph,
     apply_map,
+    bfs_tiers,
     bpsk,
+    canonical_completion,
+    check_expansion,
+    derive_params,
+    generate_regular,
     high_noise_prob,
     normalized_llr,
+    pseudoweight_bound,
     qfunc,
     transmit_awgn,
     trial_noise,
     trial_rng,
 )
+from lpldpc.witness import ParameterError
 
 from oracles import q_tail
 
@@ -111,6 +119,41 @@ def test_trial_rng_rejects_fractions(args):
     # a fraction is an error, not the substreams of its integer part
     with pytest.raises(TypeError):
         trial_rng(*args)
+
+
+_G34 = generate_regular(8, 3, 4, 1)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("call", [
+    lambda b: generate_regular(8, b, 4, 1),  # would be a (1, 4)-regular graph
+    lambda b: generate_regular(b, 3, 4, 1),
+    lambda b: TannerGraph(b, [[0]]),
+    lambda b: bfs_tiers(_G34, b),  # would be root 1
+    lambda b: canonical_completion(_G34, b),
+    lambda b: trial_rng(b, 0),  # would be seed 1
+    lambda b: trial_rng(0, b),
+    lambda b: trial_rng(0, 0, stream=b),
+    lambda b: check_expansion(_G34, 1.0, b),  # would be s_max = 1
+    lambda b: derive_params(1.0, b),
+    lambda b: pseudoweight_bound(b, 4, 10),
+    lambda b: pseudoweight_bound(3, b, 10),
+])
+def test_integer_arguments_refuse_bools_as_they_refuse_floats(call, flag):
+    # operator.index reads True as 1; an integer argument refuses it instead
+    with pytest.raises(TypeError, match="object cannot be interpreted as an integer$"):
+        call(flag)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        call(1.5)
+
+
+def test_bool_checks_and_truncation_values_are_refused():
+    with pytest.raises(ValueError, match=r"^check 0: variable index True is not an integer$"):
+        TannerGraph(3, [[True, 2]])
+    for w in (True, np.True_):  # not w = 1.0
+        with pytest.raises(ParameterError, match=f"^w must be a number, got {w!r}$"):
+            derive_params(w, 25)
+    assert pseudoweight_bound(np.int64(3), np.int64(4), 10) == pseudoweight_bound(3, 4, 10)
 
 
 def test_normalized_llr_is_identity():

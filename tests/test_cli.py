@@ -32,7 +32,7 @@ def test_gen_writes_parseable_alist(tmp_path, capsys):
                  "--seed", "5", "--out", str(out)])
     assert code == 0
     g = parse_alist(out.read_text())
-    assert g.regular_degrees() == (3, 4)
+    assert (g.regular_var_degree, g.regular_check_degree) == (3, 4)
     assert g == generate_regular(12, 3, 4, seed=5)
     assert "wrote" in capsys.readouterr().out
 

@@ -9,7 +9,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpldpc import (
@@ -21,7 +21,11 @@ from lpldpc import (
     ProofSpec,
     ScanRow,
     ScanSpec,
+    TannerGraph,
     bfs_tiers,
+    boundary_set,
+    canonical_profile,
+    derive_params,
     emit_csv,
     emit_alist,
     generate_regular,
@@ -611,6 +615,7 @@ def test_run_pseudo_scan_matches_connectivity_bfs_oracle(seed, n_values, graphs_
                                                          roots_per_graph, cap):
     # a shortened retry cap makes GenerationError retries, and at cap 1 some
     # scans exhaust all 50 attempts; outcomes are compared either way
+    assume(roots_per_graph <= min(n_values))  # more is refused by ScanSpec
     cfg = _scan_config(seed, n_values, graphs_per_n, roots_per_graph)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tanner, "RETRY_CAP", cap)
@@ -655,6 +660,17 @@ def test_scan_spec_rejects_sizes_without_a_regular_graph(n_values, dv, dc, bad):
     # from a config, before any size runs
     with pytest.raises(ValueError, match=rf"n={bad} "):
         _scan_config(0, n_values, 1, 1, dv=dv, dc=dc)
+
+
+@pytest.mark.parametrize("n_values, roots", [([8], 20), ([16, 8], 9)])
+def test_scan_spec_rejects_more_roots_than_the_smallest_n(n_values, roots):
+    # roots are distinct variables: 20 roots at n = 8 would be 8 rows
+    message = f"scan: 'roots_per_graph' = {roots} exceeds the smallest n = 8"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ScanSpec(n_values=tuple(n_values), dv=3, dc=4, roots_per_graph=roots)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        _scan_config(0, n_values, 1, roots)
+    assert len(run_pseudo_scan(_scan_config(0, n_values, 1, 8))) == 8 * len(n_values)
 
 
 def test_run_pseudo_scan_growth_rate():
@@ -762,6 +778,26 @@ def test_run_witness_rate_checks_kappa_before_the_first_trial(tmp_path, monkeypa
     with pytest.raises(ValueError, match=r"kappa must lie strictly inside \("):
         run_witness_rate(cfg)
     assert searches == []
+
+
+def test_graph_with_one_variable_short_of_its_degree_is_not_variable_regular(tmp_path):
+    # variable 0 loses one of its 25 checks; every other variable keeps 25
+    rows = [list(row) for row in var_regular_graph(18, 25, 60, seed=3).check_nbrs]
+    next(row for row in rows if 0 in row).remove(0)
+    g = TannerGraph(18, rows)
+    assert g.var_degrees.tolist() == [24] + [25] * 17 and g.regular_var_degree is None
+    with pytest.raises(ValueError, match="^graph must have uniform variable degree 25$"):
+        boundary_set(g, np.zeros(g.n, dtype=bool), derive_params(1.0, 25))
+    with pytest.raises(ValueError, match="^tier profile requires a degree-regular graph$"):
+        canonical_profile(g, bfs_tiers(g, 0))
+    path = tmp_path / "g.alist"
+    path.write_text(emit_alist(g))
+    cfg = ExperimentConfig.from_json({
+        "mode": "witness-rate", "graph": {"path": str(path)}, "maps": ["threshold:1.0"],
+        "sigma2": [0.25], "trials": 1, "seed": 0,
+    })
+    with pytest.raises(ValueError, match="^witness-rate needs a variable-regular graph$"):
+        run_witness_rate(cfg)
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -187,7 +187,7 @@ def test_generate_regular_degrees():
     assert g.m == 6
     assert (g.var_degrees == 3).all()
     assert (g.check_degrees == 4).all()
-    assert g.regular_degrees() == (3, 4)
+    assert (g.regular_var_degree, g.regular_check_degree) == (3, 4)
 
 
 def test_generate_regular_divisibility_error():
@@ -286,7 +286,8 @@ def test_graph_stores_only_csr_arrays():
     g = generate_regular(8, 3, 4, seed=1)
     assert set(TannerGraph.__slots__) == {
         "n", "m", "check_indptr", "check_indices", "var_indptr", "var_indices",
-        "var_degrees", "check_degrees", "edge_var", "_key"}
+        "var_degrees", "check_degrees", "regular_var_degree", "regular_check_degree",
+        "edge_var", "_key"}
     with pytest.raises(AttributeError):
         g.check_nbrs = ()
     # equal graphs built apart hash alike; the check order matters
@@ -547,12 +548,23 @@ def test_csr_arrays_are_read_only():
               st.integers(1, 6), st.integers(0, 2**32 - 1)),
 ))
 @example(g=TannerGraph(3, [[], [0, 2], []]))  # degree-0 checks
+@example(g=TannerGraph(3, [[0, 1, 2], [0], [1, 2]]))  # variable-regular only
+@example(g=TannerGraph(3, [[0, 1]]))  # an isolated variable beside a uniform check side
+@example(g=TannerGraph(2, [[], []]))  # no edges: both sides read 0
 def test_stored_degrees_and_edge_vars_match_the_csr_arrays(g):
     for stored, want in ((g.check_degrees, np.diff(g.check_indptr)),
                          (g.var_degrees, np.diff(g.var_indptr)),
                          (g.edge_var, np.repeat(np.arange(g.n), g.var_degrees))):
         assert stored.dtype == np.int64
         assert np.array_equal(stored, want)
+    # a side's regular degree: its maximum d when d times its node count is
+    # the edge total, else None; equally, its one distinct degree
+    for stored, degrees in ((g.regular_var_degree, g.var_degrees),
+                            (g.regular_check_degree, g.check_degrees)):
+        d = int(degrees.max())
+        assert stored == (d if d * degrees.size == g.num_edges else None)
+        assert stored == (d if len(set(degrees.tolist())) == 1 else None)
+        assert stored is None or type(stored) is int
     # the check-side construction of H
     h = np.zeros((g.m, g.n), dtype=np.uint8)
     h[np.repeat(np.arange(g.m), np.diff(g.check_indptr)), g.check_indices] = 1
@@ -663,12 +675,12 @@ def test_bfs_tiers_matches_queue_oracle_on_one_sided_regular_graphs(g, var_side_
 
 def test_bfs_tiers_reads_root_as_an_index(g34_small):
     want = _tiers(g34_small, 1)
-    for root in (True, np.int64(1), np.uint8(1)):
+    for root in (np.int64(1), np.uint8(1)):
         t = bfs_tiers(g34_small, root)
         assert type(t.root) is int and t.root == 1
         assert _bfs_outcome(lambda: (t.var_tier, t.check_tier, t.num_tiers)) == \
             _bfs_outcome(lambda: want)
-    for root in (1.0, np.float64(1.0), "1", None):
+    for root in (1.0, np.float64(1.0), "1", None, True, np.True_):
         with pytest.raises(TypeError):
             bfs_tiers(g34_small, root)
     for root in (-1, g34_small.n):
